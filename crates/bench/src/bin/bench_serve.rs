@@ -20,7 +20,7 @@
 //! default).
 
 use pyranet::eval::machine_split;
-use pyranet::model::{KernelMode, ModelConfig, Tokenizer, TransformerLm};
+use pyranet::model::{ModelConfig, Tokenizer, TransformerLm};
 use pyranet::serve::{replay, ReplayOutcome, ServeConfig, ServeRequest, ServeResponse};
 use pyranet_bench::Scale;
 use serde::Serialize;
@@ -134,18 +134,18 @@ fn main() {
         })
         .collect();
 
-    // The SIMD family: with scalar kernels this host is compute-bound
-    // and batching has nothing to amortize; vectorized matmuls push the
-    // bottleneck back to weight streaming, which is the regime a serving
-    // host actually runs in. Both paths use the same family, so the
-    // identical-completions assert below still holds bit-for-bit.
+    // The default (register-tiled) kernel family: its vectorized matmuls
+    // make decode bound by weight streaming, which is the regime a
+    // serving host runs in and what batching amortizes. Both paths use
+    // the same family, so the identical-completions assert below holds
+    // bit-for-bit.
     let serve_cfg = |max_batch: usize| ServeConfig {
         max_batch,
         queue_depth,
         prefix_cache_entries: 32,
         seed: 0x5E21,
-        kernel: KernelMode::Simd,
         threads: 1,
+        ..ServeConfig::default()
     };
 
     let run = |max_batch: usize| -> (f64, ReplayOutcome) {

@@ -2,11 +2,10 @@
 //! (tokens/sec) and writes `BENCH_train.json`.
 //!
 //! The training path is timed once per f32 kernel family — the naive
-//! `reference` loops, the cache-`blocked` rework, and the vectorized
-//! `simd` lanes — so the per-family speedups directly quantify each
-//! kernel generation. Blocked is bit-identical to reference and simd is
-//! deterministic (tests/determinism.rs and the model crate's property
-//! tests enforce both), so the fastest family is always safe to use.
+//! `reference` oracle and the register-tiled `blocked` kernels — so the
+//! speedup directly quantifies the kernel rework. Blocked is
+//! bit-identical to reference (tests/determinism.rs and the model crate's
+//! property tests enforce it), so the faster family is always safe to use.
 //!
 //! Honours `PYRANET_SCALE` (`quick` for the CI smoke run, `full` default).
 
@@ -48,12 +47,8 @@ struct BenchReport {
     train_blocked: PathReport,
     /// Same workload with the naive reference kernels.
     train_reference: PathReport,
-    /// Same workload with the vectorized simd kernels.
-    train_simd: PathReport,
     /// Blocked-kernel training speedup over the reference kernels.
     speedup_vs_reference: f64,
-    /// Simd-kernel training speedup over the blocked kernels.
-    speedup_simd_vs_blocked: f64,
     /// Greedy generation with the KV cache (blocked kernels).
     generate: PathReport,
 }
@@ -131,18 +126,11 @@ fn main() {
     };
     let train_reference = measure(KernelMode::Reference);
     let train_blocked = measure(KernelMode::Blocked);
-    let train_simd = measure(KernelMode::Simd);
     let speedup =
         if train_blocked.secs > 0.0 { train_reference.secs / train_blocked.secs } else { 1.0 };
-    let speedup_simd =
-        if train_simd.secs > 0.0 { train_blocked.secs / train_simd.secs } else { 1.0 };
     eprintln!(
         "train: blocked {:.3}s vs reference {:.3}s ({speedup:.2}x)",
         train_blocked.secs, train_reference.secs
-    );
-    eprintln!(
-        "train: simd {:.3}s vs blocked {:.3}s ({speedup_simd:.2}x)",
-        train_simd.secs, train_blocked.secs
     );
 
     // Generation throughput: train briefly so sampling is non-degenerate,
@@ -183,9 +171,7 @@ fn main() {
         repeats: repeats as u64,
         train_blocked,
         train_reference,
-        train_simd,
         speedup_vs_reference: speedup,
-        speedup_simd_vs_blocked: speedup_simd,
         generate,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialise report");

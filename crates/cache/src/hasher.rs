@@ -13,56 +13,7 @@
 //! three parts into the entry header and verifies them on read — a
 //! collision degrades to a cache miss (recompute), never a wrong verdict.
 
-/// Streaming FNV-1a 64-bit hasher.
-///
-/// The same function family the shard manifest uses for checksums
-/// (`pyranet-pipeline::persist::fnv1a64`), in streaming form so keys can
-/// be derived over multiple fields without concatenating buffers.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64 {
-    state: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Fnv64 {
-    /// Fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64 { state: FNV_OFFSET }
-    }
-
-    /// Folds `bytes` into the state.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds a `u64` in little-endian byte order.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64::new()
-    }
-}
-
-/// One-shot FNV-1a 64 of a byte slice.
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
+pub use pyranet_exec::{fnv1a64 as hash_bytes, Fnv64};
 
 /// Content hash of a sample's source text — the per-sample half of every
 /// stage key.

@@ -16,16 +16,15 @@
 //! pyranet stats <dataset.jsonl | shard-dir | manifest.json>
 //!                                 # layer pyramid + funnel of a built dataset
 //! pyranet train [--files N] [--batch-size B] [--epochs E] [--threads T]
-//!               [--kernel reference|blocked|simd|int8]
+//!               [--kernel reference|blocked|int8]
 //!               [--recipe sft|repair] [--repair-out FILE.jsonl]
 //! pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]
-//!              [--threads T] [--seed S] [--engine session|per-sample]
-//!              [--kernel reference|blocked|simd|int8]
+//!              [--threads T] [--seed S] [--kernel reference|blocked|int8]
 //!              [--sim compiled|reference] [--check stimulus|equivalence]
 //!              [--max-eq-inputs N] [--files N] [--epochs E] [--json OUT]
 //! pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]
 //!               [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]
-//!               [--kernel reference|blocked|simd|int8] [--files N] [--epochs E]
+//!               [--kernel reference|blocked|int8] [--files N] [--epochs E]
 //!               [--shuffle-arrival S]
 //! ```
 //!
@@ -34,7 +33,7 @@
 //! process-global metrics registry) and `--verbose` (human-readable
 //! metrics summary on stdout).
 
-use pyranet::model::{ModelConfig, TransformerLm};
+use pyranet::model::{KernelMode, ModelConfig, Tokenizer, TransformerLm};
 use pyranet::pipeline::rank::{rank_sample, render_response};
 use pyranet::pipeline::ShardSpec;
 use pyranet::train::{
@@ -43,7 +42,7 @@ use pyranet::train::{
 use pyranet::verilog::lint::lint_module;
 use pyranet::verilog::metrics::{measure, ComplexityTier};
 use pyranet::verilog::{check_source, parse_module, SimDesign, SimMode, SyntaxVerdict};
-use pyranet::{BuildOptions, Layer, PyraNetBuilder, TrainConfig};
+use pyranet::{BuildOptions, Layer, PyraNetBuilder, PyraNetDataset, TrainConfig};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -84,16 +83,15 @@ fn print_usage() {
         \x20                     [--cache-dir DIR]\n  \
          pyranet stats <dataset.jsonl | shard-dir | manifest.json>\n  \
          pyranet train [--files N] [--seed S] [--threads T] [--batch-size B] [--epochs E] [--max-examples M]\n  \
-        \x20            [--kernel reference|blocked|simd|int8] [--recipe sft|repair]\n  \
+        \x20            [--kernel reference|blocked|int8] [--recipe sft|repair]\n  \
         \x20            [--repair-out FILE.jsonl]\n  \
          pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]\n  \
-        \x20            [--threads T] [--seed S] [--engine session|per-sample]\n  \
-        \x20            [--kernel reference|blocked|simd|int8] [--sim compiled|reference]\n  \
-        \x20            [--check stimulus|equivalence] [--max-eq-inputs N]\n  \
-        \x20            [--files N] [--epochs E] [--json OUT]\n  \
+        \x20            [--threads T] [--seed S] [--kernel reference|blocked|int8]\n  \
+        \x20            [--sim compiled|reference] [--check stimulus|equivalence]\n  \
+        \x20            [--max-eq-inputs N] [--files N] [--epochs E] [--json OUT]\n  \
          pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]\n  \
         \x20            [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]\n  \
-        \x20            [--kernel reference|blocked|simd|int8] [--files N] [--epochs E]\n  \
+        \x20            [--kernel reference|blocked|int8] [--files N] [--epochs E]\n  \
         \x20            [--shuffle-arrival S]\n\n\
          build-dataset, train, eval, and serve also accept:\n  \
          --metrics OUT.json   write a JSON snapshot of all recorded metrics\n  \
@@ -420,38 +418,24 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     if repair_out.is_some() && recipe != "repair" {
         return Err("--repair-out only applies to --recipe repair".into());
     }
-    let built =
-        PyraNetBuilder::new(BuildOptions { scraped_files: files, seed, ..BuildOptions::default() })
-            .build();
-    let tk = build_tokenizer(built.dataset.iter());
-    let model_cfg = ModelConfig {
-        name: "pyranet-cli".into(),
-        d_model: 32,
-        n_layers: 2,
-        n_heads: 4,
-        d_ff: 64,
-        max_seq: 160,
-        learning_rate: cfg.learning_rate,
-        seed,
-    };
-    let mut lm = TransformerLm::new(model_cfg, tk.vocab_size());
+    let (dataset, tk, mut lm) = cli_model(files, seed, cfg.threads);
     println!(
         "training on {} samples (recipe {recipe}, batch size {}, {} epoch(s), threads {})",
-        built.dataset.len(),
+        dataset.len(),
         cfg.batch_size,
         cfg.epochs,
         if cfg.threads == 0 { "auto".to_owned() } else { cfg.threads.to_string() }
     );
     let report = if recipe == "repair" {
         if let Some(path) = &repair_out {
-            let pairs = repair_pairs(&built.dataset, cfg.seed);
+            let pairs = repair_pairs(&dataset, cfg.seed);
             export_repair_jsonl(&pairs, std::path::Path::new(path))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
             println!("wrote {} repair pair(s) to {path}", pairs.len());
         }
-        RepairTrainer::run(&mut lm, &tk, &built.dataset, &cfg)
+        RepairTrainer::run(&mut lm, &tk, &dataset, &cfg)
     } else {
-        SftTrainer::run(&mut lm, &tk, &built.dataset, &cfg)
+        SftTrainer::run(&mut lm, &tk, &dataset, &cfg)
     };
     for p in &report.phases {
         println!(
@@ -462,8 +446,54 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     metrics.finish()
 }
 
+/// The curated dataset, its tokenizer and the untrained d_model-32 model
+/// that `train`, `eval` and `serve` start from: `files` scraped files
+/// built at `seed`, and weights initialised from `seed`.
+fn cli_model(
+    files: usize,
+    seed: u64,
+    threads: usize,
+) -> (PyraNetDataset, Tokenizer, TransformerLm) {
+    let built = PyraNetBuilder::new(BuildOptions {
+        scraped_files: files,
+        seed,
+        threads,
+        ..BuildOptions::default()
+    })
+    .build();
+    let tk = build_tokenizer(built.dataset.iter());
+    let model_cfg = ModelConfig {
+        name: "pyranet-cli".into(),
+        d_model: 32,
+        n_layers: 2,
+        n_heads: 4,
+        d_ff: 64,
+        max_seq: 160,
+        learning_rate: TrainConfig::default().learning_rate,
+        seed,
+    };
+    let lm = TransformerLm::new(model_cfg, tk.vocab_size());
+    (built.dataset, tk, lm)
+}
+
+/// [`cli_model`] after `epochs` epoch(s) of SFT — the model `eval` scores
+/// and `serve` serves, so completions are comparable across subcommands.
+fn trained_cli_model(
+    files: usize,
+    seed: u64,
+    threads: usize,
+    epochs: usize,
+    kernel: KernelMode,
+) -> (Tokenizer, TransformerLm) {
+    let (dataset, tk, mut lm) = cli_model(files, seed, threads);
+    let tcfg = TrainConfig { epochs, threads, seed, kernel, ..Default::default() };
+    println!("training on {} samples ({} epoch(s))...", dataset.len(), epochs);
+    SftTrainer::run(&mut lm, &tk, &dataset, &tcfg);
+    (tk, lm)
+}
+
 fn cmd_eval(args: &[String]) -> Result<(), String> {
-    use pyranet::eval::{evaluate, human_split, machine_split, EngineMode, EvalOptions};
+    use pyranet::eval::{evaluate, human_split, machine_split, EvalOptions};
 
     let mut split = "machine".to_owned();
     let mut files = 300usize;
@@ -489,13 +519,6 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
             }
             "--threads" => opts.threads = num("--threads", val("--threads"))?,
             "--seed" => opts.seed = num("--seed", val("--seed"))? as u64,
-            "--engine" => {
-                opts.engine = match val("--engine")?.as_str() {
-                    "session" => EngineMode::Session,
-                    "per-sample" => EngineMode::PerSample,
-                    other => return Err(format!("bad --engine `{other}` (session|per-sample)")),
-                };
-            }
             "--kernel" => opts.kernel = val("--kernel")?.parse()?,
             "--sim" => opts.sim = val("--sim")?.parse()?,
             "--check" => opts.check = val("--check")?.parse()?,
@@ -516,34 +539,7 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
     };
 
     // Build + briefly fine-tune the small reference model, then score it.
-    let built = PyraNetBuilder::new(BuildOptions {
-        scraped_files: files,
-        seed: opts.seed,
-        threads: opts.threads,
-        ..BuildOptions::default()
-    })
-    .build();
-    let tk = build_tokenizer(built.dataset.iter());
-    let model_cfg = ModelConfig {
-        name: "pyranet-cli".into(),
-        d_model: 32,
-        n_layers: 2,
-        n_heads: 4,
-        d_ff: 64,
-        max_seq: 160,
-        learning_rate: TrainConfig::default().learning_rate,
-        seed: opts.seed,
-    };
-    let mut lm = TransformerLm::new(model_cfg, tk.vocab_size());
-    let tcfg = TrainConfig {
-        epochs,
-        threads: opts.threads,
-        seed: opts.seed,
-        kernel: opts.kernel,
-        ..Default::default()
-    };
-    println!("training on {} samples ({} epoch(s))...", built.dataset.len(), epochs);
-    SftTrainer::run(&mut lm, &tk, &built.dataset, &tcfg);
+    let (tk, lm) = trained_cli_model(files, opts.seed, opts.threads, epochs, opts.kernel);
 
     let mut results = Vec::new();
     for problems in &splits {
@@ -639,36 +635,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         requests.shuffle(&mut rng);
     }
 
-    // Build + briefly fine-tune the small reference model (same recipe
-    // as `eval`, so completions are comparable across subcommands).
-    let built = PyraNetBuilder::new(BuildOptions {
-        scraped_files: files,
-        seed: cfg.seed,
-        threads: cfg.threads,
-        ..BuildOptions::default()
-    })
-    .build();
-    let tk = build_tokenizer(built.dataset.iter());
-    let model_cfg = ModelConfig {
-        name: "pyranet-cli".into(),
-        d_model: 32,
-        n_layers: 2,
-        n_heads: 4,
-        d_ff: 64,
-        max_seq: 160,
-        learning_rate: TrainConfig::default().learning_rate,
-        seed: cfg.seed,
-    };
-    let mut lm = TransformerLm::new(model_cfg, tk.vocab_size());
-    let tcfg = TrainConfig {
-        epochs,
-        threads: cfg.threads,
-        seed: cfg.seed,
-        kernel: cfg.kernel,
-        ..Default::default()
-    };
-    println!("training on {} samples ({} epoch(s))...", built.dataset.len(), epochs);
-    SftTrainer::run(&mut lm, &tk, &built.dataset, &tcfg);
+    let (tk, lm) = trained_cli_model(files, cfg.seed, cfg.threads, epochs, cfg.kernel);
 
     println!(
         "serving {} request(s): max_batch {} queue_depth {} prefix_cache {}",

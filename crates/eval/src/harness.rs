@@ -7,32 +7,13 @@ use crate::testbench::{
     CheckStrategy, FunctionalVerdict, ProblemBench, SimStats, DEFAULT_MAX_EQ_INPUTS,
 };
 use pyranet_exec::{par_map, stream_seed_str, ExecConfig};
-use pyranet_model::decode::{DecodeSession, PromptPlan};
+use pyranet_model::decode::DecodeSession;
 use pyranet_model::{KernelMode, SampleOptions, Tokenizer, TransformerLm};
 use pyranet_verilog::SimMode;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Which inference path drives the per-problem sampling.
-///
-/// Both modes draw each sample `i` from its own RNG stream keyed
-/// `(seed, problem id, i)` and are **bit-identical** to each other (pinned
-/// in `tests/determinism.rs`) — batching is a throughput knob, never a
-/// semantic one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum EngineMode {
-    /// [`DecodeSession`]: one shared prompt prefill per problem, KV cache
-    /// forked across the n samples, all live sequences decoded in
-    /// lock-step batches through the blocked kernels.
-    #[default]
-    Session,
-    /// The retained legacy loop: every sample re-prefills the prompt and
-    /// decodes alone. Kept as the reference path for equivalence pins and
-    /// the `bench_eval` baseline.
-    PerSample,
-}
 
 /// Functional-check strategy for the harness (`--check` on the CLI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -87,17 +68,14 @@ pub struct EvalOptions {
     pub seed: u64,
     /// Worker threads for the per-problem fan-out (`0` = auto).
     pub threads: usize,
-    /// Inference path (defaults to the batched session engine).
-    pub engine: EngineMode,
     /// Simulation backend for the functional checks (defaults to the
     /// compiled bytecode VM; the reference engine is pinned bit-identical,
     /// so this is a throughput knob, never a semantic one).
     pub sim: SimMode,
-    /// Kernel family for the session engine (`--kernel` on the CLI).
-    /// `Blocked`/`Reference`/`Simd` sessions are bit-identical to each
-    /// other; `QuantizedInt8` quantizes the effective weights at session
-    /// build and is gated by a pass@k parity test against f32. The legacy
-    /// per-sample engine ignores this and always decodes in f32.
+    /// Kernel family for the decode session (`--kernel` on the CLI).
+    /// `Blocked` and `Reference` sessions are bit-identical to each other;
+    /// `QuantizedInt8` quantizes the effective weights at session build
+    /// and is gated by a pass@k parity test against f32.
     pub kernel: KernelMode,
     /// Functional-check strategy (`--check` on the CLI).
     pub check: CheckMode,
@@ -117,7 +95,6 @@ impl Default for EvalOptions {
             temperature: 0.5,
             seed: 0xEA_11,
             threads: 0,
-            engine: EngineMode::default(),
             sim: SimMode::default(),
             kernel: KernelMode::default(),
             check: CheckMode::default(),
@@ -179,21 +156,6 @@ impl EvalResult {
     }
 }
 
-/// FNV-1a over a candidate source and its problem id — the verdict-cache
-/// key (distinct problems check the same source against different goldens).
-fn fnv1a64(source: &[u8], problem_id: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    for chunk in [source, b"\x00", problem_id.as_bytes()] {
-        for &b in chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
-
 /// Saturating `usize → u32` for token counts surfaced in
 /// [`ProblemResult`]: a pathological prompt that drops more than
 /// `u32::MAX` tokens reports the ceiling instead of silently wrapping
@@ -235,8 +197,8 @@ pub fn evaluate(
         problems.first().map(|p| p.split.to_string()).unwrap_or_else(|| Split::Machine.to_string());
     // Problems are independent: sample i of a problem derives its RNG
     // stream from (seed, problem id, i), so the fan-out is a pure
-    // per-problem map and pass@k is identical at any thread count, under
-    // any problem ordering, and on either engine.
+    // per-problem map and pass@k is identical at any thread count and
+    // under any problem ordering.
     let exec = ExecConfig::new().threads(opts.threads);
     let out = par_map(&exec, problems.iter().collect(), |problem: &Problem| {
         // VerilogEval hands the model the module header and scores the body
@@ -264,28 +226,13 @@ pub fn evaluate(
                 ))
             })
             .collect();
-        let (bodies, dropped): (Vec<Vec<usize>>, u32) = match opts.engine {
-            EngineMode::Session => {
-                // One prefill for the whole problem; the KV cache is forked
-                // (borrowed, not copied) across all n samples, which then
-                // decode together in lock-step batches.
-                let mut session = DecodeSession::new_with(lm, opts.kernel);
-                let prefix = session.prefill(&prompt, opts.max_new_tokens);
-                let dropped = saturating_u32(prefix.dropped_prompt_tokens());
-                let gens =
-                    session.decode_batch(&prefix, opts.max_new_tokens, &sample_opts, &mut rngs);
-                (gens.into_iter().map(|g| g.ids).collect(), dropped)
-            }
-            EngineMode::PerSample => {
-                let plan = PromptPlan::new(prompt.len(), opts.max_new_tokens, lm.cfg.max_seq);
-                let bodies = sample_opts
-                    .iter()
-                    .zip(rngs.iter_mut())
-                    .map(|(so, rng)| lm.generate_legacy(&prompt, opts.max_new_tokens, so, rng))
-                    .collect();
-                (bodies, saturating_u32(plan.dropped_prompt_tokens))
-            }
-        };
+        // One prefill for the whole problem; the KV cache is forked
+        // (borrowed, not copied) across all n samples, which then decode
+        // together in lock-step batches.
+        let mut session = DecodeSession::new_with(lm, opts.kernel);
+        let prefix = session.prefill(&prompt, opts.max_new_tokens);
+        let dropped = saturating_u32(prefix.dropped_prompt_tokens());
+        let gens = session.decode_batch(&prefix, opts.max_new_tokens, &sample_opts, &mut rngs);
         let mut passed = 0u32;
         let mut valid = 0u32;
         // The golden model is prepared (and, in compiled mode, lowered to
@@ -298,26 +245,26 @@ pub fn evaluate(
         };
         let mut bench = ProblemBench::new_with_check(&problem.family, opts.sim, strategy);
         // Identical completions are common at low temperature; their
-        // verdicts are deduplicated by content hash so each distinct
-        // candidate is simulated exactly once.
-        let mut verdicts: HashMap<u64, FunctionalVerdict> = HashMap::new();
+        // verdicts are deduplicated by candidate text (the map is per
+        // problem, so the golden is fixed) and each distinct candidate is
+        // simulated exactly once.
+        let mut verdicts: HashMap<String, FunctionalVerdict> = HashMap::new();
         let mut cache_hits = 0u64;
-        for body in &bodies {
+        for g in &gens {
             let mut ids = header_ids.clone();
-            ids.extend_from_slice(body);
+            ids.extend_from_slice(&g.ids);
             let text = tk.decode(&ids);
             if pyranet_verilog::check_source(&text).is_compilable() {
                 valid += 1;
             }
-            let key = fnv1a64(text.as_bytes(), &problem.id);
-            let verdict = match verdicts.get(&key) {
+            let verdict = match verdicts.get(&text) {
                 Some(v) => {
                     cache_hits += 1;
                     v.clone()
                 }
                 None => {
                     let v = bench.check(&text);
-                    verdicts.insert(key, v.clone());
+                    verdicts.insert(text, v.clone());
                     v
                 }
             };

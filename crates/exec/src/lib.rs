@@ -18,7 +18,9 @@
 //! Randomised stages keep the contract by re-keying their RNG per item
 //! (see [`stream_seed`] / [`stream_seed_str`]) instead of threading one
 //! sequential RNG through the batch, so each item's entropy is a pure
-//! function of `(master seed, item identity)`.
+//! function of `(master seed, item identity)`. The crate also holds the
+//! workspace's one stable hash, [`Fnv64`], which those string keys go
+//! through.
 //!
 //! Thread-count resolution (first match wins):
 //! 1. an explicit [`ExecConfig::threads`] value `> 0`;
@@ -157,6 +159,15 @@ where
     par_map(config, items, map).into_iter().fold(init, reduce)
 }
 
+/// The splitmix64 finalizer: a bijective avalanche mix of one `u64`.
+/// Shared by [`stream_seed`] and the dedup MinHash permutations.
+#[inline]
+pub fn splitmix64_mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Derives an independent RNG seed for stream `stream` of a master seed.
 ///
 /// splitmix64-style finalisation: well spread even for consecutive
@@ -164,22 +175,70 @@ where
 /// from this (instead of sharing one sequential RNG across the batch) is
 /// what makes randomised stages safe to parallelise.
 pub fn stream_seed(master: u64, stream: u64) -> u64 {
-    let mut z =
-        master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD1B5_4A32_D192_ED03);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64_mix(
+        master ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0xD1B5_4A32_D192_ED03),
+    )
 }
 
 /// [`stream_seed`] keyed by a string identity (e.g. an eval problem id),
 /// hashed with FNV-1a so the mapping is stable across runs and platforms.
 pub fn stream_seed_str(master: u64, stream: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in stream.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    stream_seed(master, fnv1a64(stream.as_bytes()))
+}
+
+/// Streaming FNV-1a 64-bit hasher — the one stable, platform-independent
+/// hash behind shard checksums, cache keys, RNG stream keys and the serve
+/// prefix cache. Streaming lets keys be derived over several fields
+/// without concatenating buffers.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv64 {
+    state: u64,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Fnv64 {
+    /// Fresh hasher at the FNV-1a offset basis.
+    #[inline]
+    pub fn new() -> Fnv64 {
+        Fnv64 { state: FNV_OFFSET }
     }
-    stream_seed(master, h)
+
+    /// Folds `bytes` into the state.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.state ^= u64::from(b);
+            self.state = self.state.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// Folds a `u64` in little-endian byte order.
+    #[inline]
+    pub fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The current hash value.
+    #[inline]
+    pub fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+impl Default for Fnv64 {
+    fn default() -> Self {
+        Fnv64::new()
+    }
+}
+
+/// One-shot FNV-1a 64 of a byte slice.
+#[inline]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]

@@ -22,11 +22,10 @@
 //!
 //! # Determinism
 //!
-//! In the f32 families ([`KernelMode::Blocked`], `Reference`, and `Simd` —
-//! whose forward matmul is AXPY-structured and preserves accumulation
-//! order) every kernel on this path accumulates each output element in
-//! ascending shared-dimension order — the same discipline as the training
-//! kernels — so a row of a batched matmul is bit-identical to the
+//! In the f32 families ([`KernelMode::Blocked`] and `Reference`) every
+//! kernel on this path accumulates each output element in ascending
+//! shared-dimension order — the same discipline as the training kernels —
+//! so a row of a batched matmul is bit-identical to the
 //! corresponding single-vector product, a forked sequence is bit-identical
 //! to one decoded from a fresh prefill, and a batch of sequences is
 //! bit-identical to the same sequences decoded one at a time. Property

@@ -46,6 +46,6 @@ pub use adam::Adam;
 pub use config::ModelConfig;
 pub use decode::{DecodeSession, Generation, PrefixState, PromptPlan, TokenSampler};
 pub use sampler::SampleOptions;
-pub use tensor::{kernel_mode, set_kernel_mode, KernelMode};
+pub use tensor::KernelMode;
 pub use tokenizer::Tokenizer;
 pub use transformer::TransformerLm;

@@ -111,7 +111,7 @@ impl TransformerLm {
             head,
             layers,
             lora: None,
-            kernels: crate::tensor::kernel_mode(),
+            kernels: KernelMode::default(),
         }
     }
 
@@ -469,10 +469,10 @@ impl TransformerLm {
         session.decode_one(&prefix, max_new, opts, rng)
     }
 
-    /// The pre-engine generation loop, retained verbatim as the reference
-    /// implementation (same discipline as [`crate::tensor::KernelMode`]:
-    /// the naive path stays so benchmarks can measure the engine and
-    /// property tests can pin bit-identity).
+    /// The pre-engine generation loop, retained verbatim as the decode
+    /// oracle: `tests/decode_equivalence.rs` pins the session engine
+    /// bit-identical to it, and `bench_eval`'s naive row measures the
+    /// engine against it.
     ///
     /// Known (historical) wart, fixed in the engine path: when
     /// `prompt.len() >= cfg.max_seq` the loop silently drops the forced
@@ -886,42 +886,10 @@ mod tests {
             (losses, lm)
         };
         let (blocked_losses, blocked_lm) = train(KernelMode::Blocked);
-        let (reference_losses, reference_lm) = train(KernelMode::Reference);
-        assert_eq!(blocked_losses, reference_losses, "losses must agree bit-for-bit");
-        assert_eq!(blocked_lm, reference_lm, "trained weights must agree bit-for-bit");
-    }
-
-    #[test]
-    fn simd_kernels_train_deterministically_and_reduce_loss() {
-        // Simd training is deliberately *not* bit-identical to Blocked
-        // (lane-split nt + statistics sweeps — the documented trade), but
-        // it must still converge, stay close, and be exactly reproducible
-        // at any thread count.
-        let tk = toy_tokenizer();
-        let examples = toy_examples(&tk);
-        let train = |threads: usize| {
-            let mut lm = TransformerLm::new(tiny_cfg(), tk.vocab_size());
-            lm.set_kernels(KernelMode::Simd);
-            let mut opt = Adam::new(lm.trainable_count(), 3e-3);
-            let exec = ExecConfig::new().threads(threads);
-            let mut losses = Vec::new();
-            for _ in 0..30 {
-                losses.push(lm.train_step_with(&examples, &mut opt, &exec).unwrap());
-            }
-            (losses, lm)
-        };
-        let (losses, lm) = train(1);
-        assert!(
-            losses[29] < losses[0] * 0.7,
-            "simd loss must fall: {} -> {}",
-            losses[0],
-            losses[29]
-        );
-        for threads in [2, 8] {
-            let (other_losses, other_lm) = train(threads);
-            let bits = |ls: &[f32]| ls.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&losses), bits(&other_losses), "threads={threads}");
-            assert_eq!(lm, other_lm, "weights diverged at threads={threads}");
+        for mode in [KernelMode::Reference, KernelMode::QuantizedInt8] {
+            let (losses, lm) = train(mode);
+            assert_eq!(losses, blocked_losses, "{mode} losses must agree bit-for-bit");
+            assert_eq!(lm, blocked_lm, "{mode} trained weights must agree bit-for-bit");
         }
     }
 

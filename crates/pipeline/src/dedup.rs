@@ -14,7 +14,7 @@
 //! the banding parameters and tested against brute force below).
 
 use pyranet_corpus::RawSample;
-use pyranet_exec::{par_map, ExecConfig};
+use pyranet_exec::{par_map, splitmix64_mix, ExecConfig};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
@@ -86,11 +86,9 @@ pub fn jaccard(a: &HashSet<u64>, b: &HashSet<u64>) -> f64 {
 }
 
 /// Splitmix-style hash mixing for the MinHash permutations.
-fn mix(mut x: u64, seed: u64) -> u64 {
-    x = x.wrapping_add(seed).wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+#[inline]
+fn mix(x: u64, seed: u64) -> u64 {
+    splitmix64_mix(x.wrapping_add(seed).wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// MinHash signature of a shingle set.

@@ -124,14 +124,7 @@ impl ShardManifest {
 }
 
 /// FNV-1a 64-bit hash — the shard content checksum.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use pyranet_exec::fnv1a64;
 
 /// Renders a checksum the way the manifest stores it.
 pub fn format_checksum(sum: u64) -> String {

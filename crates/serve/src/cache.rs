@@ -11,6 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use pyranet_exec::Fnv64;
 use pyranet_model::PrefixState;
 
 /// What a cache lookup did, for the engine's metrics.
@@ -58,14 +59,11 @@ pub struct PrefixCache {
 
 /// FNV-1a over the little-endian bytes of each token id.
 pub fn token_hash(tokens: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for &t in tokens {
-        for b in (t as u64).to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
+        h.write_u64(t as u64);
     }
-    h
+    h.finish()
 }
 
 impl PrefixCache {
@@ -185,5 +183,11 @@ mod tests {
             assert_eq!(o, CacheOutcome::Bypass);
         }
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn token_hash_is_fnv1a_over_le_token_bytes() {
+        let bytes: Vec<u8> = [1u64, 2, 300].iter().flat_map(|t| t.to_le_bytes()).collect();
+        assert_eq!(token_hash(&[1, 2, 300]), pyranet_exec::fnv1a64(&bytes));
     }
 }

@@ -1,5 +1,6 @@
 //! Dataset → training-example conversion.
 
+use pyranet_exec::Fnv64;
 use pyranet_model::transformer::TrainExample;
 use pyranet_model::Tokenizer;
 use pyranet_pipeline::CuratedSample;
@@ -83,12 +84,11 @@ impl ExampleCache {
     fn key(s: &CuratedSample) -> (u64, u64) {
         // FNV-1a over the text pair; combined with the id this makes
         // collisions across label-permuted variants practically impossible.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in s.description.bytes().chain([0u8]).chain(s.source.bytes()) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (s.id, h)
+        let mut h = Fnv64::new();
+        h.write(s.description.as_bytes());
+        h.write(&[0]);
+        h.write(s.source.as_bytes());
+        (s.id, h.finish())
     }
 
     /// The training example for `s` at loss `weight`, encoding on miss.

@@ -64,11 +64,9 @@ pub struct TrainConfig {
     /// byte-identical at any value — see `train_step_with`.
     pub threads: usize,
     /// Kernel family for every forward/backward pass of the run
-    /// (`--kernel` on the CLI). `Blocked` and `Reference` train
-    /// bit-identically; `Simd` is deterministic but trades bit-parity on
-    /// the attention-backward dot products for vectorization;
-    /// `QuantizedInt8` trains like `Simd` (weights are only quantized on
-    /// the decode path, never during training).
+    /// (`--kernel` on the CLI). All three families train bit-identically:
+    /// `QuantizedInt8` trains with the `Blocked` kernels (weights are only
+    /// quantized on the decode path, never during training).
     pub kernel: KernelMode,
 }
 

@@ -250,41 +250,11 @@ fn batched_sft_training_is_identical_at_any_thread_count() {
 }
 
 #[test]
-fn eval_engines_are_byte_identical_at_any_thread_count() {
-    // The acceptance pin for the decode engine: the batched session path
-    // (shared prefill + lock-step decode) and the retained per-sample
-    // legacy loop must produce *byte-identical* serialized EvalResults at
-    // every thread count. Batching is a throughput knob, never a semantic
-    // one.
-    use pyranet::eval::EngineMode;
-    let (lm, tk) = tiny_model();
-    let problems: Vec<_> = machine_split().into_iter().take(4).collect();
-    let run = |engine, threads| {
-        let opts = EvalOptions {
-            samples_per_problem: 3,
-            max_new_tokens: 16,
-            threads,
-            engine,
-            ..EvalOptions::default()
-        };
-        serde_json::to_string(&evaluate(&lm, &tk, &problems, &opts)).expect("serialize EvalResult")
-    };
-    let reference = run(EngineMode::PerSample, 1);
-    for engine in [EngineMode::Session, EngineMode::PerSample] {
-        for threads in THREAD_COUNTS {
-            assert_eq!(run(engine, threads), reference, "engine = {engine:?}, threads = {threads}");
-        }
-    }
-}
-
-#[test]
 fn simd_kernel_eval_is_byte_identical_to_blocked() {
-    // The acceptance pin for the vectorized kernel family: a `simd`
-    // session decodes through the order-preserving forward matmul plus
-    // scalar attention/layer-norm sweeps, so pass@k results must be
-    // *byte-identical* to the blocked (and reference) families at every
-    // thread count. The lane-split trades live only on the training
-    // backward path, never on decode.
+    // The acceptance pin for the f32 kernel families: a `blocked` session
+    // decodes through the register-tiled, order-preserving forward matmul
+    // plus scalar attention/layer-norm sweeps, so pass@k results must be
+    // *byte-identical* to the `reference` oracle at every thread count.
     use pyranet::model::KernelMode;
     let (lm, tk) = tiny_model();
     let problems: Vec<_> = machine_split().into_iter().take(4).collect();
@@ -299,7 +269,7 @@ fn simd_kernel_eval_is_byte_identical_to_blocked() {
         serde_json::to_string(&evaluate(&lm, &tk, &problems, &opts)).expect("serialize EvalResult")
     };
     let reference = run(KernelMode::Blocked, 1);
-    for kernel in [KernelMode::Simd, KernelMode::Reference, KernelMode::Blocked] {
+    for kernel in [KernelMode::Reference, KernelMode::Blocked] {
         for threads in THREAD_COUNTS {
             assert_eq!(run(kernel, threads), reference, "kernel = {kernel}, threads = {threads}");
         }
