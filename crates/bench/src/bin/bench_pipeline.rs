@@ -3,13 +3,15 @@
 //! per-stage wall time and samples/sec.
 //!
 //! The determinism contract (tests/determinism.rs) guarantees every run in
-//! the sweep produces the same dataset; this binary only measures time.
+//! the sweep produces the same dataset; this binary only measures time,
+//! reading each stage's seconds off its `pipeline.stage.<name>` span.
 //! Speedup numbers are relative to the 1-thread run **on the current
 //! host** — on a single-core machine every point of the sweep is
 //! expected to be ~1.0×.
 
 use pyranet::corpus::CorpusBuilder;
-use pyranet::pipeline::{Pipeline, PyraNetDataset, ShardSpec, StageTimings};
+use pyranet::obs::SnapshotValue;
+use pyranet::pipeline::{Pipeline, PyraNetDataset, ShardSpec};
 use pyranet_bench::Scale;
 use serde::Serialize;
 
@@ -80,8 +82,15 @@ fn stage(secs: f64, samples_in: usize) -> StageReport {
     }
 }
 
-fn curation_secs(t: &StageTimings) -> f64 {
-    (t.broken + t.no_module + t.dedup + t.syntax_rank).as_secs_f64()
+/// Seconds each stage's span has recorded so far in this process, in run
+/// order.
+fn stage_seconds() -> [f64; 4] {
+    let snap = pyranet::obs::global().snapshot();
+    let stages = ["broken", "no_module", "dedup", "syntax_rank"];
+    stages.map(|name| match snap.get(&format!("pipeline.stage.{name}.seconds")) {
+        Some(SnapshotValue::Histogram { sum, .. }) => *sum,
+        _ => 0.0,
+    })
 }
 
 /// Times the sharded export/import round trip (fixed-size shards, auto
@@ -139,11 +148,14 @@ fn main() {
     let mut base_curation = 0.0f64;
     let mut runs = Vec::new();
     for threads in SWEEP {
-        let mut best: Option<(StageTimings, f64, pyranet::Funnel)> = None;
+        let mut best: Option<([f64; 4], f64, pyranet::Funnel)> = None;
         for _ in 0..REPEATS {
             let pipeline = Pipeline::new().threads(threads);
-            let (outcome, timings) = pipeline.run_timed(pool.samples.clone());
-            let secs = curation_secs(&timings);
+            let before = stage_seconds();
+            let outcome = pipeline.run(pool.samples.clone());
+            let after = stage_seconds();
+            let timings: [f64; 4] = std::array::from_fn(|i| after[i] - before[i]);
+            let secs = timings.iter().sum();
             if best.as_ref().is_none_or(|(_, b, _)| secs < *b) {
                 best = Some((timings, secs, outcome.funnel));
             }
@@ -152,16 +164,16 @@ fn main() {
         if threads == 1 {
             base_curation = secs;
         }
-        // Stage 1–3 input counts follow the funnel; stage 4's input count
-        // is recorded directly in the timings.
+        // Each stage's input count follows the funnel.
         let no_module_in = funnel.collected - funnel.rejected_broken;
         let dedup_in = no_module_in - funnel.rejected_no_module;
+        let syntax_in = dedup_in - funnel.rejected_duplicates;
         runs.push(RunReport {
             threads: threads as u64,
-            broken: stage(timings.broken.as_secs_f64(), funnel.collected),
-            no_module: stage(timings.no_module.as_secs_f64(), no_module_in),
-            dedup: stage(timings.dedup.as_secs_f64(), dedup_in),
-            syntax_rank: stage(timings.syntax_rank.as_secs_f64(), timings.syntax_in),
+            broken: stage(timings[0], funnel.collected),
+            no_module: stage(timings[1], no_module_in),
+            dedup: stage(timings[2], dedup_in),
+            syntax_rank: stage(timings[3], syntax_in),
             curation_secs: secs,
             speedup_vs_one_thread: if secs > 0.0 { base_curation / secs } else { 1.0 },
         });

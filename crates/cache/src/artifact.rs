@@ -48,16 +48,6 @@ pub enum Lookup<T> {
     Invalid,
 }
 
-impl<T> Lookup<T> {
-    /// The hit payload, if any.
-    pub fn hit(self) -> Option<T> {
-        match self {
-            Lookup::Hit(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
 /// Entry header: the key parts plus the payload checksum, one JSON line.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 struct EntryHeader {

@@ -1,37 +1,8 @@
 //! `pyranet` — command-line front end for the PyraNet reproduction.
 //!
 //! Subcommands mirror the curation pipeline's stages so each can be run on
-//! real files:
-//!
-//! ```text
-//! pyranet check <file.v>          # Icarus-substitute verdict
-//! pyranet rank <file.v>           # 0–20 quality rank + findings
-//! pyranet complexity <file.v>     # Basic/Intermediate/Advanced/Expert
-//! pyranet sim <file.v> <top> ...  # drive a module interactively
-//!                                 # [--backend compiled|reference]
-//! pyranet build-dataset [--files N] [--seed S] [--threads T] [--out F.jsonl]
-//!                       [--out-dir DIR] [--shard-size N]
-//!                       [--sim-check [compiled|reference]]
-//!                       [--cache-dir DIR]
-//! pyranet stats <dataset.jsonl | shard-dir | manifest.json>
-//!                                 # layer pyramid + funnel of a built dataset
-//! pyranet train [--files N] [--batch-size B] [--epochs E] [--threads T]
-//!               [--kernel reference|blocked|int8]
-//!               [--recipe sft|repair] [--repair-out FILE.jsonl]
-//! pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]
-//!              [--threads T] [--seed S] [--kernel reference|blocked|int8]
-//!              [--sim compiled|reference] [--check stimulus|equivalence]
-//!              [--max-eq-inputs N] [--files N] [--epochs E] [--json OUT]
-//! pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]
-//!               [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]
-//!               [--kernel reference|blocked|int8] [--files N] [--epochs E]
-//!               [--shuffle-arrival S]
-//! ```
-//!
-//! `build-dataset`, `train`, `eval`, and `serve` also accept
-//! `--metrics OUT.json` (flush-checked JSON snapshot of the
-//! process-global metrics registry) and `--verbose` (human-readable
-//! metrics summary on stdout).
+//! real files, and add training, pass@k evaluation and serving on top; the
+//! full synopsis is [`USAGE`] (`pyranet help`).
 
 use pyranet::model::{KernelMode, ModelConfig, Tokenizer, TransformerLm};
 use pyranet::pipeline::rank::{rank_sample, render_response};
@@ -43,11 +14,23 @@ use pyranet::verilog::lint::lint_module;
 use pyranet::verilog::metrics::{measure, ComplexityTier};
 use pyranet::verilog::{check_source, parse_module, SimDesign, SimMode, SyntaxVerdict};
 use pyranet::{BuildOptions, Layer, PyraNetBuilder, PyraNetDataset, TrainConfig};
+use std::fmt::Display;
+use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
+    let result = run(&args);
+    if let Err(e) = &result {
+        eprintln!("pyranet: {e}");
+    }
+    ExitCode::from(exit_status(&result))
+}
+
+/// Runs one subcommand.
+fn run(args: &[String]) -> Result<(), String> {
+    match args.first().map(String::as_str) {
         Some("check") => cmd_check(&args[1..]),
         Some("rank") => cmd_rank(&args[1..]),
         Some("complexity") => cmd_complexity(&args[1..]),
@@ -58,45 +41,103 @@ fn main() -> ExitCode {
         Some("eval") => cmd_eval(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("help") | None => {
-            print_usage();
+            println!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown subcommand `{other}` (try `pyranet help`)")),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("pyranet: {e}");
-            ExitCode::from(2)
-        }
     }
 }
 
-fn print_usage() {
-    println!(
-        "pyranet — PyraNet dataset toolchain\n\n\
-         USAGE:\n  pyranet check <file.v>\n  pyranet rank <file.v>\n  \
-         pyranet complexity <file.v>\n  pyranet sim <file.v> <top> [name=value]... [--clock clk] [--cycles N]\n  \
-        \x20            [--backend compiled|reference]\n  \
-         pyranet build-dataset [--files N] [--seed S] [--threads T] [--out dataset.jsonl]\n  \
-        \x20                     [--out-dir shards/] [--shard-size N] [--sim-check [compiled|reference]]\n  \
-        \x20                     [--cache-dir DIR]\n  \
-         pyranet stats <dataset.jsonl | shard-dir | manifest.json>\n  \
-         pyranet train [--files N] [--seed S] [--threads T] [--batch-size B] [--epochs E] [--max-examples M]\n  \
-        \x20            [--kernel reference|blocked|int8] [--recipe sft|repair]\n  \
-        \x20            [--repair-out FILE.jsonl]\n  \
-         pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]\n  \
-        \x20            [--threads T] [--seed S] [--kernel reference|blocked|int8]\n  \
-        \x20            [--sim compiled|reference] [--check stimulus|equivalence]\n  \
-        \x20            [--max-eq-inputs N] [--files N] [--epochs E] [--json OUT]\n  \
-         pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]\n  \
-        \x20            [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]\n  \
-        \x20            [--kernel reference|blocked|int8] [--files N] [--epochs E]\n  \
-        \x20            [--shuffle-arrival S]\n\n\
-         build-dataset, train, eval, and serve also accept:\n  \
-         --metrics OUT.json   write a JSON snapshot of all recorded metrics\n  \
-         --verbose            print a human-readable metrics summary"
-    );
+/// The process exit status for a subcommand's result: 2 for any error.
+fn exit_status(result: &Result<(), String>) -> u8 {
+    if result.is_ok() {
+        0
+    } else {
+        2
+    }
+}
+
+/// The synopsis `pyranet help` prints.
+const USAGE: &str = "pyranet — PyraNet dataset toolchain\n\n\
+     USAGE:\n  pyranet check <file.v>\n  pyranet rank <file.v>\n  \
+     pyranet complexity <file.v>\n  pyranet sim <file.v> <top> [name=value]... [--clock clk] [--cycles N]\n  \
+    \x20            [--backend compiled|reference]\n  \
+     pyranet build-dataset [--files N] [--seed S] [--threads T] [--out dataset.jsonl]\n  \
+    \x20                     [--out-dir shards/] [--shard-size N] [--sim-check [compiled|reference]]\n  \
+    \x20                     [--cache-dir DIR]\n  \
+     pyranet stats <dataset.jsonl | shard-dir | manifest.json>\n  \
+     pyranet train [--files N] [--seed S] [--threads T] [--batch-size B] [--epochs E] [--max-examples M]\n  \
+    \x20            [--kernel reference|blocked|int8] [--recipe sft|repair]\n  \
+    \x20            [--repair-out FILE.jsonl]\n  \
+     pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]\n  \
+    \x20            [--threads T] [--seed S] [--kernel reference|blocked|int8]\n  \
+    \x20            [--sim compiled|reference] [--check stimulus|equivalence]\n  \
+    \x20            [--max-eq-inputs N] [--files N] [--epochs E] [--json OUT]\n  \
+     pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]\n  \
+    \x20            [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]\n  \
+    \x20            [--kernel reference|blocked|int8] [--files N] [--epochs E]\n  \
+    \x20            [--shuffle-arrival S]\n\n\
+     build-dataset, train, eval, and serve also accept:\n  \
+     --metrics OUT.json   write a JSON snapshot of all recorded metrics\n  \
+     --verbose            print a human-readable metrics summary";
+
+/// One subcommand's arguments, read flag by flag. Every error names the
+/// flag it is about.
+struct Flags<'a> {
+    args: std::iter::Peekable<std::slice::Iter<'a, String>>,
+    /// The argument [`Flags::next_arg`] returned last.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Flags<'a> {
+        Flags { args: args.iter().peekable(), flag: "" }
+    }
+
+    /// The next argument: a flag, whose value the helpers below read, or
+    /// a positional argument.
+    fn next_arg(&mut self) -> Option<&'a str> {
+        self.flag = self.args.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<String, String> {
+        self.args.next().cloned().ok_or_else(|| format!("{} needs a value", self.flag))
+    }
+
+    /// The current flag's value, parsed: a number, a kernel family, a
+    /// backend.
+    fn parse<T: FromStr<Err: Display>>(&mut self) -> Result<T, String> {
+        let value = self.value()?;
+        value.parse().map_err(|e| format!("bad {} `{value}`: {e}", self.flag))
+    }
+
+    /// The current flag's optional value: the next argument, if it parses.
+    fn optional<T: FromStr>(&mut self) -> Option<T> {
+        let value = self.args.peek()?.parse().ok()?;
+        self.args.next();
+        Some(value)
+    }
+
+    /// The error for an argument the subcommand does not take.
+    fn unexpected(&self) -> String {
+        format!("unexpected argument `{}`", self.flag)
+    }
+}
+
+/// The error for a missing required argument; [`USAGE`] has the synopsis.
+fn missing(what: &str) -> String {
+    format!("missing {what} (see `pyranet help`)")
+}
+
+/// Writes a whole output file and flushes it explicitly, so no write
+/// error can hide in the `BufWriter`'s error-swallowing `Drop`.
+fn write_file(path: &str, body: &[u8]) -> Result<(), String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    let mut w = std::io::BufWriter::new(file);
+    w.write_all(body).map_err(|e| format!("write failed: {e}"))?;
+    w.flush().map_err(|e| format!("write failed: {e}"))
 }
 
 fn read_file(path: &str) -> Result<String, String> {
@@ -114,23 +155,15 @@ struct MetricsArgs {
 }
 
 impl MetricsArgs {
-    /// Snapshots the global registry: writes the JSON export (flush-checked,
-    /// same discipline as the dataset writers) and/or prints the human
-    /// summary.
+    /// Snapshots the global registry: writes the JSON export and/or prints
+    /// the human summary.
     fn finish(&self) -> Result<(), String> {
         if self.out.is_none() && !self.verbose {
             return Ok(());
         }
         let snap = pyranet::obs::global().snapshot();
         if let Some(path) = &self.out {
-            use std::io::Write;
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let mut w = std::io::BufWriter::new(file);
-            w.write_all(snap.to_json().as_bytes()).map_err(|e| format!("write failed: {e}"))?;
-            w.write_all(b"\n").map_err(|e| format!("write failed: {e}"))?;
-            // Explicit flush: BufWriter's Drop swallows errors.
-            w.flush().map_err(|e| format!("write failed: {e}"))?;
+            write_file(path, format!("{}\n", snap.to_json()).as_bytes())?;
             println!("wrote {} metric(s) to {path}", snap.entries.len());
         }
         if self.verbose {
@@ -141,7 +174,7 @@ impl MetricsArgs {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("usage: pyranet check <file.v>")?;
+    let path = args.first().ok_or_else(|| missing("<file.v>"))?;
     let src = read_file(path)?;
     match check_source(&src) {
         SyntaxVerdict::Clean => println!("{path}: clean"),
@@ -159,7 +192,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_rank(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("usage: pyranet rank <file.v>")?;
+    let path = args.first().ok_or_else(|| missing("<file.v>"))?;
     let src = read_file(path)?;
     let module = parse_module(&src).map_err(|e| e.to_string())?;
     let rank = rank_sample(&module, &src);
@@ -176,7 +209,7 @@ fn cmd_rank(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_complexity(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("usage: pyranet complexity <file.v>")?;
+    let path = args.first().ok_or_else(|| missing("<file.v>"))?;
     let src = read_file(path)?;
     let module = parse_module(&src).map_err(|e| e.to_string())?;
     let metrics = measure(&module);
@@ -187,31 +220,25 @@ fn cmd_complexity(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("usage: pyranet sim <file.v> <top> [name=value]...")?;
-    let top = args.get(1).ok_or("missing top module name")?;
-    let src = read_file(path)?;
+    let path = args.first().ok_or_else(|| missing("<file.v>"))?;
+    let top = args.get(1).ok_or_else(|| missing("<top>"))?;
     let mut clock: Option<String> = None;
     let mut cycles = 1usize;
     let mut backend = SimMode::default();
     let mut sets: Vec<(String, u64)> = Vec::new();
-    let mut it = args[2..].iter();
-    while let Some(a) = it.next() {
-        if a == "--clock" {
-            clock = Some(it.next().ok_or("--clock needs a signal")?.clone());
-        } else if a == "--cycles" {
-            cycles = it
-                .next()
-                .ok_or("--cycles needs a number")?
-                .parse()
-                .map_err(|e| format!("bad cycle count: {e}"))?;
-        } else if a == "--backend" {
-            backend = it.next().ok_or("--backend needs compiled|reference")?.parse()?;
-        } else if let Some((name, value)) = a.split_once('=') {
-            sets.push((name.to_owned(), parse_value(value)?));
-        } else {
-            return Err(format!("unexpected argument `{a}`"));
+    let mut flags = Flags::new(&args[2..]);
+    while let Some(arg) = flags.next_arg() {
+        match arg {
+            "--clock" => clock = Some(flags.value()?),
+            "--cycles" => cycles = flags.parse()?,
+            "--backend" => backend = flags.parse()?,
+            _ => {
+                let (name, value) = arg.split_once('=').ok_or_else(|| flags.unexpected())?;
+                sets.push((name.to_owned(), parse_value(value)?));
+            }
         }
     }
+    let src = read_file(path)?;
     let design = SimDesign::build(&src, top, backend).map_err(|e| e.to_string())?;
     let mut sim = design.instantiate().map_err(|e| e.to_string())?;
     for (name, v) in &sets {
@@ -249,55 +276,22 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
     let mut sim_check: Option<SimMode> = None;
     let mut cache_dir: Option<String> = None;
     let mut metrics = MetricsArgs::default();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--metrics" => metrics.out = Some(it.next().ok_or("--metrics needs a path")?.clone()),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
+            "--metrics" => metrics.out = Some(flags.value()?),
             "--verbose" => metrics.verbose = true,
-            "--sim-check" => {
-                // The backend is optional: `--sim-check` alone uses the
-                // default (compiled) backend.
-                let explicit = it.peek().and_then(|n| n.parse::<SimMode>().ok());
-                if explicit.is_some() {
-                    it.next();
-                }
-                sim_check = Some(explicit.unwrap_or_default());
-            }
-            "--files" => {
-                files = it
-                    .next()
-                    .ok_or("--files needs a number")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .ok_or("--seed needs a number")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .ok_or("--threads needs a number")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-            }
-            "--out" => out = Some(it.next().ok_or("--out needs a path")?.clone()),
-            "--out-dir" => out_dir = Some(it.next().ok_or("--out-dir needs a path")?.clone()),
-            "--cache-dir" => {
-                cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone());
-            }
-            "--shard-size" => {
-                shard_size = Some(
-                    it.next()
-                        .ok_or("--shard-size needs a number")?
-                        .parse()
-                        .map_err(|e| format!("bad --shard-size: {e}"))?,
-                );
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
+            // The backend is optional: `--sim-check` alone uses the
+            // default (compiled) backend.
+            "--sim-check" => sim_check = Some(flags.optional().unwrap_or_default()),
+            "--files" => files = flags.parse()?,
+            "--seed" => seed = flags.parse()?,
+            "--threads" => threads = flags.parse()?,
+            "--out" => out = Some(flags.value()?),
+            "--out-dir" => out_dir = Some(flags.value()?),
+            "--cache-dir" => cache_dir = Some(flags.value()?),
+            "--shard-size" => shard_size = Some(flags.parse()?),
+            _ => return Err(flags.unexpected()),
         }
     }
     if shard_size.is_some() && out_dir.is_none() {
@@ -366,7 +360,6 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         // `to_jsonl` already flushed; this explicit flush is the
         // belt-and-braces guard that no failure can ever be deferred to
         // the BufWriter's error-swallowing `Drop`.
-        use std::io::Write;
         w.flush().map_err(|e| format!("write failed: {e}"))?;
         println!("wrote {} samples to {out}", built.dataset.len());
     }
@@ -380,38 +373,26 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
     let mut metrics = MetricsArgs::default();
     let mut recipe = "sft".to_owned();
     let mut repair_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut num = |flag: &str| -> Result<usize, String> {
-            it.next()
-                .ok_or(format!("{flag} needs a number"))?
-                .parse()
-                .map_err(|e| format!("bad {flag}: {e}"))
-        };
-        match a.as_str() {
-            "--metrics" => {
-                metrics.out = Some(it.next().ok_or("--metrics needs a path")?.clone());
-            }
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
+            "--metrics" => metrics.out = Some(flags.value()?),
             "--verbose" => metrics.verbose = true,
-            "--files" => files = num("--files")?,
-            "--seed" => seed = num("--seed")? as u64,
-            "--threads" => cfg.threads = num("--threads")?,
-            "--batch-size" => cfg.batch_size = num("--batch-size")?.max(1),
-            "--epochs" => cfg.epochs = num("--epochs")?.max(1),
-            "--max-examples" => cfg.max_examples_per_phase = Some(num("--max-examples")?),
-            "--kernel" => {
-                cfg.kernel = it.next().ok_or("--kernel needs a kernel family")?.parse()?;
-            }
+            "--files" => files = flags.parse()?,
+            "--seed" => seed = flags.parse()?,
+            "--threads" => cfg.threads = flags.parse()?,
+            "--batch-size" => cfg.batch_size = flags.parse::<usize>()?.max(1),
+            "--epochs" => cfg.epochs = flags.parse::<usize>()?.max(1),
+            "--max-examples" => cfg.max_examples_per_phase = Some(flags.parse()?),
+            "--kernel" => cfg.kernel = flags.parse()?,
             "--recipe" => {
-                recipe = it.next().ok_or("--recipe needs sft|repair")?.clone();
+                recipe = flags.value()?;
                 if recipe != "sft" && recipe != "repair" {
                     return Err(format!("bad --recipe `{recipe}` (sft|repair)"));
                 }
             }
-            "--repair-out" => {
-                repair_out = Some(it.next().ok_or("--repair-out needs a path")?.clone());
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
+            "--repair-out" => repair_out = Some(flags.value()?),
+            _ => return Err(flags.unexpected()),
         }
     }
     cfg.seed = seed;
@@ -493,43 +474,41 @@ fn trained_cli_model(
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), String> {
-    use pyranet::eval::{evaluate, human_split, machine_split, EvalOptions};
+    use pyranet::eval::{evaluate, human_split, machine_split, CheckStrategy, EvalOptions};
 
     let mut split = "machine".to_owned();
     let mut files = 300usize;
     let mut epochs = 1usize;
     let mut json: Option<String> = None;
     let mut metrics = MetricsArgs::default();
+    let mut max_eq_inputs: Option<u32> = None;
     let mut opts = EvalOptions { samples_per_problem: 5, max_new_tokens: 48, ..Default::default() };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |flag: &str| it.next().ok_or(format!("{flag} needs a value")).cloned();
-        let num = |flag: &str, v: Result<String, String>| -> Result<usize, String> {
-            v?.parse().map_err(|e| format!("bad {flag}: {e}"))
-        };
-        match a.as_str() {
-            "--metrics" => metrics.out = Some(val("--metrics")?),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
+            "--metrics" => metrics.out = Some(flags.value()?),
             "--verbose" => metrics.verbose = true,
-            "--split" => split = val("--split")?,
-            "--samples" => {
-                opts.samples_per_problem = num("--samples", val("--samples"))?.max(1) as u32;
-            }
-            "--max-new-tokens" => {
-                opts.max_new_tokens = num("--max-new-tokens", val("--max-new-tokens"))?;
-            }
-            "--threads" => opts.threads = num("--threads", val("--threads"))?,
-            "--seed" => opts.seed = num("--seed", val("--seed"))? as u64,
-            "--kernel" => opts.kernel = val("--kernel")?.parse()?,
-            "--sim" => opts.sim = val("--sim")?.parse()?,
-            "--check" => opts.check = val("--check")?.parse()?,
-            "--max-eq-inputs" => {
-                opts.max_eq_inputs = num("--max-eq-inputs", val("--max-eq-inputs"))? as u32;
-            }
-            "--files" => files = num("--files", val("--files"))?,
-            "--epochs" => epochs = num("--epochs", val("--epochs"))?.max(1),
-            "--json" => json = Some(val("--json")?),
-            other => return Err(format!("unexpected argument `{other}`")),
+            "--split" => split = flags.value()?,
+            "--samples" => opts.samples_per_problem = flags.parse::<u32>()?.max(1),
+            "--max-new-tokens" => opts.max_new_tokens = flags.parse()?,
+            "--threads" => opts.threads = flags.parse()?,
+            "--seed" => opts.seed = flags.parse()?,
+            "--kernel" => opts.kernel = flags.parse()?,
+            "--sim" => opts.sim = flags.parse()?,
+            "--check" => opts.check = flags.parse()?,
+            "--max-eq-inputs" => max_eq_inputs = Some(flags.parse()?),
+            "--files" => files = flags.parse()?,
+            "--epochs" => epochs = flags.parse::<usize>()?.max(1),
+            "--json" => json = Some(flags.value()?),
+            _ => return Err(flags.unexpected()),
         }
+    }
+    // The bit cap applies to the equivalence check whichever flag came
+    // first.
+    if let (CheckStrategy::Equivalence { max_input_bits }, Some(bits)) =
+        (&mut opts.check, max_eq_inputs)
+    {
+        *max_input_bits = bits;
     }
     let splits: Vec<_> = match split.as_str() {
         "machine" => vec![machine_split()],
@@ -562,16 +541,8 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = &json {
-        // Same flush-checked discipline as `build-dataset`: buffered
-        // writes, then an explicit flush so no error can hide in the
-        // BufWriter's error-swallowing `Drop`.
-        use std::io::Write;
         let body = serde_json::to_string_pretty(&results).map_err(|e| format!("{e}"))?;
-        let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-        let mut w = std::io::BufWriter::new(file);
-        w.write_all(body.as_bytes()).map_err(|e| format!("write failed: {e}"))?;
-        w.write_all(b"\n").map_err(|e| format!("write failed: {e}"))?;
-        w.flush().map_err(|e| format!("write failed: {e}"))?;
+        write_file(path, format!("{body}\n").as_bytes())?;
         println!("wrote {} result(s) to {path}", results.len());
     }
     metrics.finish()
@@ -593,35 +564,26 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut shuffle_arrival: Option<u64> = None;
     let mut metrics = MetricsArgs::default();
     let mut cfg = ServeConfig::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = |flag: &str| it.next().ok_or(format!("{flag} needs a value")).cloned();
-        let num = |flag: &str, v: Result<String, String>| -> Result<usize, String> {
-            v?.parse().map_err(|e| format!("bad {flag}: {e}"))
-        };
-        match a.as_str() {
-            "--metrics" => metrics.out = Some(val("--metrics")?),
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
+        match flag {
+            "--metrics" => metrics.out = Some(flags.value()?),
             "--verbose" => metrics.verbose = true,
-            "--requests" => requests_path = Some(val("--requests")?),
-            "--out" => out = Some(val("--out")?),
-            "--max-batch" => cfg.max_batch = num("--max-batch", val("--max-batch"))?.max(1),
-            "--queue-depth" => cfg.queue_depth = num("--queue-depth", val("--queue-depth"))?.max(1),
-            "--prefix-cache" => {
-                cfg.prefix_cache_entries = num("--prefix-cache", val("--prefix-cache"))?;
-            }
-            "--seed" => cfg.seed = num("--seed", val("--seed"))? as u64,
-            "--kernel" => cfg.kernel = val("--kernel")?.parse()?,
-            "--threads" => cfg.threads = num("--threads", val("--threads"))?,
-            "--files" => files = num("--files", val("--files"))?,
-            "--epochs" => epochs = num("--epochs", val("--epochs"))?.max(1),
-            "--shuffle-arrival" => {
-                shuffle_arrival = Some(num("--shuffle-arrival", val("--shuffle-arrival"))? as u64);
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
+            "--requests" => requests_path = Some(flags.value()?),
+            "--out" => out = Some(flags.value()?),
+            "--max-batch" => cfg.max_batch = flags.parse::<usize>()?.max(1),
+            "--queue-depth" => cfg.queue_depth = flags.parse::<usize>()?.max(1),
+            "--prefix-cache" => cfg.prefix_cache_entries = flags.parse()?,
+            "--seed" => cfg.seed = flags.parse()?,
+            "--kernel" => cfg.kernel = flags.parse()?,
+            "--threads" => cfg.threads = flags.parse()?,
+            "--files" => files = flags.parse()?,
+            "--epochs" => epochs = flags.parse::<usize>()?.max(1),
+            "--shuffle-arrival" => shuffle_arrival = Some(flags.parse()?),
+            _ => return Err(flags.unexpected()),
         }
     }
-    let requests_path =
-        requests_path.ok_or("usage: pyranet serve --requests FILE.jsonl [--out FILE.jsonl]")?;
+    let requests_path = requests_path.ok_or_else(|| missing("--requests FILE.jsonl"))?;
     let mut requests = read_requests_jsonl(&read_file(&requests_path)?)?;
     if requests.is_empty() {
         return Err(format!("{requests_path}: no requests"));
@@ -661,12 +623,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let body = responses_to_jsonl(&responses);
     match &out {
         Some(path) => {
-            use std::io::Write;
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let mut w = std::io::BufWriter::new(file);
-            w.write_all(body.as_bytes()).map_err(|e| format!("write failed: {e}"))?;
-            w.flush().map_err(|e| format!("write failed: {e}"))?;
+            write_file(path, body.as_bytes())?;
             println!("wrote {} response(s) to {path}", responses.len());
         }
         None => print!("{body}"),
@@ -675,7 +632,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("usage: pyranet stats <dataset.jsonl | shard-dir>")?;
+    let path =
+        args.first().ok_or_else(|| missing("<dataset.jsonl | shard-dir | manifest.json>"))?;
     // Accepts a single .jsonl file, a sharded export directory, or its
     // manifest.json; sharded imports are checksum-verified per shard and
     // parse failures carry `file:line` context.
@@ -724,4 +682,37 @@ fn load_manifest_if_sharded(path: &std::path::Path) -> Option<pyranet::pipeline:
         return None;
     };
     pyranet::pipeline::ShardManifest::load(dir).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn usage_errors_name_their_flag_and_exit_2() {
+        for (args, flag) in [
+            // Unknown flags; `--sim-check` takes `reference` as its
+            // optional backend but leaves `--bogus` alone.
+            (&["build-dataset", "--bogus"][..], "--bogus"),
+            (&["build-dataset", "--sim-check", "reference", "--bogus"], "--bogus"),
+            (&["build-dataset", "--sim-check", "--bogus"], "--bogus"),
+            (&["train", "--bogus"], "--bogus"),
+            (&["sim", "m.v", "top", "--bogus"], "--bogus"),
+            // Missing values.
+            (&["eval", "--json"], "--json"),
+            (&["serve", "--requests"], "--requests"),
+            (&["sim", "m.v", "top", "--clock"], "--clock"),
+            // Bad numbers and values; `a=1` is a `sim` positional.
+            (&["build-dataset", "--files", "many"], "--files"),
+            (&["eval", "--max-eq-inputs", "12x"], "--max-eq-inputs"),
+            (&["serve", "--max-batch", "0.5"], "--max-batch"),
+            (&["train", "--kernel", "simd"], "--kernel"),
+            (&["sim", "m.v", "top", "a=1", "--cycles", "x"], "--cycles"),
+        ] {
+            let result = run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());
+            assert_eq!(exit_status(&result), 2, "{args:?}");
+            let err = result.expect_err("bad usage must fail");
+            assert!(err.contains(flag), "{args:?}: `{err}` does not name {flag}");
+        }
+    }
 }

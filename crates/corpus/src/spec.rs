@@ -13,7 +13,7 @@
 use crate::families::DesignFamily;
 use crate::gen::{generate, Design};
 use crate::style::StyleOptions;
-use pyranet_verilog::ast::{BinaryOp, Expr, Module, PortDir, Range};
+use pyranet_verilog::ast::{const_width, Module, PortDir};
 use pyranet_verilog::sim::exhaustive_assignments;
 use pyranet_verilog::SimDesign;
 use pyranet_verilog::SimMode;
@@ -189,24 +189,11 @@ fn data_ports(module: &Module, dir: PortDir) -> Vec<(String, u32)> {
         .filter(|p| p.dir == dir)
         .map(|p| {
             let w = p.range.as_ref().map(|r| {
-                const_range_width(r)
-                    .unwrap_or_else(|| panic!("non-constant port range on {}", p.name))
+                const_width(r).unwrap_or_else(|| panic!("non-constant port range on {}", p.name))
             });
             (p.name.clone(), w.unwrap_or(1))
         })
         .collect()
-}
-
-fn const_range_width(r: &Range) -> Option<u32> {
-    fn cv(e: &Expr) -> Option<i64> {
-        match e {
-            Expr::Literal { value, .. } => Some(*value as i64),
-            Expr::Binary(BinaryOp::Sub, a, b) => Some(cv(a)? - cv(b)?),
-            Expr::Binary(BinaryOp::Add, a, b) => Some(cv(a)? + cv(b)?),
-            _ => None,
-        }
-    }
-    Some((cv(&r.msb)? - cv(&r.lsb)?).unsigned_abs() as u32 + 1)
 }
 
 fn port_list(ports: &[(String, u32)]) -> String {

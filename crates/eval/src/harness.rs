@@ -3,9 +3,7 @@
 
 use crate::passk::pass_at_k;
 use crate::problems::{Problem, Split};
-use crate::testbench::{
-    CheckStrategy, FunctionalVerdict, ProblemBench, SimStats, DEFAULT_MAX_EQ_INPUTS,
-};
+use crate::testbench::{CheckStrategy, FunctionalVerdict, ProblemBench, SimStats};
 use pyranet_exec::{par_map, stream_seed_str, ExecConfig};
 use pyranet_model::decode::DecodeSession;
 use pyranet_model::{KernelMode, SampleOptions, Tokenizer, TransformerLm};
@@ -14,40 +12,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Functional-check strategy for the harness (`--check` on the CLI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum CheckMode {
-    /// Fixed pseudo-random stimulus vectors (the historical check).
-    #[default]
-    Stimulus,
-    /// Exhaustive equivalence sweep for small combinational problems,
-    /// bounded by [`EvalOptions::max_eq_inputs`]; problems over the cap and
-    /// sequential problems fall back to stimulus vectors. Strictly stronger
-    /// than stimulus scoring, still RNG-free and deterministic.
-    Equivalence,
-}
-
-impl std::fmt::Display for CheckMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            CheckMode::Stimulus => "stimulus",
-            CheckMode::Equivalence => "equivalence",
-        })
-    }
-}
-
-impl std::str::FromStr for CheckMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<CheckMode, String> {
-        match s {
-            "stimulus" => Ok(CheckMode::Stimulus),
-            "equivalence" => Ok(CheckMode::Equivalence),
-            other => Err(format!("unknown check mode `{other}` (expected stimulus|equivalence)")),
-        }
-    }
-}
 
 /// Evaluation options.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,13 +41,9 @@ pub struct EvalOptions {
     /// `QuantizedInt8` quantizes the effective weights at session build
     /// and is gated by a pass@k parity test against f32.
     pub kernel: KernelMode,
-    /// Functional-check strategy (`--check` on the CLI).
-    pub check: CheckMode,
-    /// Input-bit cap for the exhaustive equivalence sweep
-    /// (`--max-eq-inputs`): combinational problems whose total input width
-    /// fits are swept over all `2^bits` assignments; the rest use stimulus
-    /// vectors. Ignored under [`CheckMode::Stimulus`].
-    pub max_eq_inputs: u32,
+    /// Functional-check strategy (`--check` and `--max-eq-inputs` on the
+    /// CLI): stimulus vectors by default.
+    pub check: CheckStrategy,
 }
 
 impl Default for EvalOptions {
@@ -97,8 +57,7 @@ impl Default for EvalOptions {
             threads: 0,
             sim: SimMode::default(),
             kernel: KernelMode::default(),
-            check: CheckMode::default(),
-            max_eq_inputs: DEFAULT_MAX_EQ_INPUTS,
+            check: CheckStrategy::default(),
         }
     }
 }
@@ -237,13 +196,7 @@ pub fn evaluate(
         let mut valid = 0u32;
         // The golden model is prepared (and, in compiled mode, lowered to
         // bytecode) once per problem and reused across all n samples.
-        let strategy = match opts.check {
-            CheckMode::Stimulus => CheckStrategy::Stimulus,
-            CheckMode::Equivalence => {
-                CheckStrategy::Equivalence { max_input_bits: opts.max_eq_inputs }
-            }
-        };
-        let mut bench = ProblemBench::new_with_check(&problem.family, opts.sim, strategy);
+        let mut bench = ProblemBench::new_with_check(&problem.family, opts.sim, opts.check);
         // Identical completions are common at low temperature; their
         // verdicts are deduplicated by candidate text (the map is per
         // problem, so the golden is fixed) and each distinct candidate is
@@ -304,7 +257,7 @@ pub fn evaluate(
     obs.counter("sim.cache_hits").add(cache_hits);
     obs.counter("sim.vectors").add(sim_stats.vectors);
     obs.counter("sim.steps").add(sim_stats.steps);
-    if opts.check == CheckMode::Equivalence {
+    if matches!(opts.check, CheckStrategy::Equivalence { .. }) {
         obs.counter("eval.equivalence.exhaustive").add(sim_stats.exhaustive_checks);
         obs.counter("eval.equivalence.fallback").add(sim_stats.fallback_checks);
         obs.counter("eval.equivalence.vectors").add(sim_stats.vectors);

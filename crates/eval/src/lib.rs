@@ -26,7 +26,7 @@ pub mod passk;
 pub mod problems;
 pub mod testbench;
 
-pub use harness::{evaluate, sample_temperature, CheckMode, EvalOptions, EvalResult};
+pub use harness::{evaluate, sample_temperature, EvalOptions, EvalResult};
 pub use passk::pass_at_k;
 pub use problems::{human_split, machine_split, Problem, Split};
 pub use pyranet_verilog::SimMode;

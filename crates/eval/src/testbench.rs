@@ -18,7 +18,7 @@
 use pyranet_corpus::families::{Category, DesignFamily};
 use pyranet_corpus::gen::generate;
 use pyranet_corpus::style::StyleOptions;
-use pyranet_verilog::ast::PortDir;
+use pyranet_verilog::ast::{const_width, PortDir};
 use pyranet_verilog::sim::exhaustive_assignments;
 use pyranet_verilog::{parse, SimDesign, SimInstance, SimMode};
 use rand::Rng;
@@ -54,10 +54,11 @@ impl FunctionalVerdict {
 }
 
 /// How a candidate's outputs are compared against the golden model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckStrategy {
     /// Drive both designs with 48 fixed pseudo-random stimulus vectors (the
     /// historical check).
+    #[default]
     Stimulus,
     /// Exhaustive equivalence check: for combinational designs whose total
     /// input width fits in the bit cap, sweep *every* input assignment in
@@ -73,6 +74,21 @@ pub enum CheckStrategy {
 /// Default input-bit cap for [`CheckStrategy::Equivalence`] (2^12 = 4096
 /// assignments at most — milliseconds on the bytecode VM).
 pub const DEFAULT_MAX_EQ_INPUTS: u32 = 12;
+
+impl std::str::FromStr for CheckStrategy {
+    type Err = String;
+
+    /// `stimulus`, or `equivalence` at [`DEFAULT_MAX_EQ_INPUTS`].
+    fn from_str(s: &str) -> Result<CheckStrategy, String> {
+        match s {
+            "stimulus" => Ok(CheckStrategy::Stimulus),
+            "equivalence" => {
+                Ok(CheckStrategy::Equivalence { max_input_bits: DEFAULT_MAX_EQ_INPUTS })
+            }
+            other => Err(format!("unknown check mode `{other}` (expected stimulus|equivalence)")),
+        }
+    }
+}
 
 /// Simulation-work counters accumulated by a [`ProblemBench`], reported
 /// into the `sim.*` metrics by the eval harness.
@@ -135,7 +151,7 @@ fn classify(src: &str, sequential: bool) -> Result<(Interface, String), String> 
     let module = file.modules.first().ok_or("no module")?;
     let mut iface = Interface { clock: None, reset: None, inputs: Vec::new(), outputs: Vec::new() };
     for p in &module.ports {
-        let width = p.range.as_ref().and_then(const_range_width).unwrap_or(1);
+        let width = p.range.as_ref().and_then(const_width).unwrap_or(1);
         match p.dir {
             PortDir::Input => {
                 if sequential && iface.clock.is_none() && is_clock_name(&p.name) {
@@ -151,19 +167,6 @@ fn classify(src: &str, sequential: bool) -> Result<(Interface, String), String> 
         }
     }
     Ok((iface, module.name.clone()))
-}
-
-fn const_range_width(r: &pyranet_verilog::ast::Range) -> Option<u32> {
-    use pyranet_verilog::ast::{BinaryOp, Expr};
-    fn cv(e: &Expr) -> Option<i64> {
-        match e {
-            Expr::Literal { value, .. } => Some(*value as i64),
-            Expr::Binary(BinaryOp::Sub, a, b) => Some(cv(a)? - cv(b)?),
-            Expr::Binary(BinaryOp::Add, a, b) => Some(cv(a)? + cv(b)?),
-            _ => None,
-        }
-    }
-    Some((cv(&r.msb)? - cv(&r.lsb)?).unsigned_abs() as u32 + 1)
 }
 
 /// The golden reference source for a family (clean terse style, fixed

@@ -13,9 +13,10 @@
 //! semantics match the naive algorithm (up to MinHash recall, covered by
 //! the banding parameters and tested against brute force below).
 
+use crate::incremental::DedupSigArtifact;
 use pyranet_corpus::RawSample;
-use pyranet_exec::{par_map, splitmix64_mix, ExecConfig};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use pyranet_exec::{par_map_ref, splitmix64_mix, ExecConfig};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// Number of MinHash permutations.
@@ -23,19 +24,18 @@ pub(crate) const NUM_HASHES: usize = 64;
 /// LSH bands (NUM_HASHES / BANDS rows per band).
 pub(crate) const BANDS: usize = 16;
 
-/// Tokenizes a source into the shingle set used for Jaccard similarity.
+/// Tokenizes a source into the shingle set used for Jaccard similarity,
+/// as a sorted, deduplicated vector — the one shape the set takes, whether
+/// computed here or read back from the artifact cache.
 ///
 /// Tokens are word-level (identifiers, numbers, operators collapse to
 /// single chars); 3-gram shingles make the measure order-sensitive enough
 /// that different circuits with the same vocabulary don't collide.
 ///
 /// Tokenization is char-aware: a multibyte character (a `// café`
-/// comment, a CJK identifier in a scraped file) is one single-char token.
-/// The earlier byte-indexed slicing (`&source[i..i + 1]`) panicked on any
-/// non-char-boundary index, taking the whole pipeline down with it. For
-/// pure-ASCII sources the token stream is byte-identical to the old one,
-/// so existing dedup outcomes (and the export digest pins) are unchanged.
-pub fn shingles(source: &str) -> HashSet<u64> {
+/// comment, a CJK identifier in a scraped file) is one single-char token,
+/// so no source can split a char.
+pub fn shingles(source: &str) -> Vec<u64> {
     let mut tokens: Vec<&str> = Vec::new();
     let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '$';
     let mut chars = source.char_indices().peekable();
@@ -54,29 +54,33 @@ pub fn shingles(source: &str) -> HashSet<u64> {
             tokens.push(&source[start..start + c.len_utf8()]);
         }
     }
-    let mut set = HashSet::with_capacity(tokens.len());
-    for w in tokens.windows(3) {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        w.hash(&mut h);
-        set.insert(h.finish());
-    }
-    if set.is_empty() && !tokens.is_empty() {
+    let mut set: Vec<u64> = tokens.windows(3).map(std_hash).collect();
+    if set.is_empty() {
         // very short files: fall back to single-token shingles
-        for t in tokens {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            t.hash(&mut h);
-            set.insert(h.finish());
-        }
+        set = tokens.iter().map(std_hash).collect();
     }
+    set.sort_unstable();
+    set.dedup();
     set
 }
 
-/// Exact Jaccard similarity between two shingle sets.
-pub fn jaccard(a: &HashSet<u64>, b: &HashSet<u64>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
+/// The std `DefaultHasher` digest of `value` (fixed keys, so stable
+/// across runs).
+fn std_hash<T: Hash + ?Sized>(value: &T) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut h);
+    h.finish()
+}
+
+/// Exact Jaccard similarity between two shingle sets, each sorted and
+/// deduplicated as [`shingles`] returns it: the intersection is counted
+/// by merging the two slices.
+pub fn jaccard(a: &[u64], b: &[u64]) -> f64 {
+    let (mut i, mut j, mut inter) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        inter += usize::from(a[i] == b[j]);
+        (i, j) = (i + usize::from(a[i] <= b[j]), j + usize::from(b[j] <= a[i]));
     }
-    let inter = a.intersection(b).count();
     let union = a.len() + b.len() - inter;
     if union == 0 {
         1.0
@@ -92,7 +96,7 @@ fn mix(x: u64, seed: u64) -> u64 {
 }
 
 /// MinHash signature of a shingle set.
-pub fn minhash(shingles: &HashSet<u64>) -> [u64; NUM_HASHES] {
+pub fn minhash(shingles: &[u64]) -> [u64; NUM_HASHES] {
     let mut sig = [u64::MAX; NUM_HASHES];
     for &s in shingles {
         for (k, slot) in sig.iter_mut().enumerate() {
@@ -105,6 +109,14 @@ pub fn minhash(shingles: &HashSet<u64>) -> [u64; NUM_HASHES] {
     sig
 }
 
+/// A sample's dedup signature: its shingle set plus the MinHash signature
+/// of that set.
+pub(crate) fn signature(source: &str) -> DedupSigArtifact {
+    let shingles = shingles(source);
+    let sig = minhash(&shingles);
+    DedupSigArtifact { shingles, sig }
+}
+
 /// Removes near-duplicates, keeping the earliest (lowest-index) member of
 /// each duplicate cluster. Pairs flagged by LSH banding are verified with
 /// exact Jaccard before removal.
@@ -115,32 +127,33 @@ pub fn dedup(pool: Vec<RawSample>, threshold: f64) -> Vec<RawSample> {
 /// [`dedup`] with an explicit executor configuration.
 ///
 /// Shingling and MinHash signature computation — the dominant cost — are
-/// per-sample pure functions and run through [`par_map`]; the LSH banding
+/// per-sample pure functions and run through `par_map`; the LSH banding
 /// and verification sweep stays sequential, preserving the
 /// earliest-representative-wins semantics exactly. The survivor set is
 /// therefore identical at any thread count.
 pub fn dedup_with(pool: Vec<RawSample>, threshold: f64, exec: &ExecConfig) -> Vec<RawSample> {
-    let sources: Vec<&str> = pool.iter().map(|s| s.source.as_str()).collect();
-    let per_sample: Vec<(HashSet<u64>, [u64; NUM_HASHES])> = par_map(exec, sources, |src| {
-        let set = shingles(src);
-        let sig = minhash(&set);
-        (set, sig)
-    });
-    let (sets, sigs): (Vec<HashSet<u64>>, Vec<[u64; NUM_HASHES]>) = per_sample.into_iter().unzip();
-    let dead = lsh_sweep(&sets, &sigs, threshold);
+    dedup_by(pool, threshold, exec, signature)
+}
+
+/// Stage 3's one path: a signature per sample from `sign` (which the
+/// pipeline memoizes in the artifact cache), then the LSH join over all of
+/// them, then the survivors in input order.
+pub(crate) fn dedup_by(
+    pool: Vec<RawSample>,
+    threshold: f64,
+    exec: &ExecConfig,
+    sign: impl Fn(&str) -> DedupSigArtifact + Sync,
+) -> Vec<RawSample> {
+    let sigs = par_map_ref(exec, &pool, |s| sign(&s.source));
+    let dead = lsh_sweep(&sigs, threshold);
     pool.into_iter().zip(dead).filter(|(_, d)| !*d).map(|(s, _)| s).collect()
 }
 
 /// The cross-sample LSH join: bands the signatures, verifies candidate
-/// pairs with exact Jaccard, and returns which samples die. Shared by the
-/// direct path above and the incremental path (which feeds it cached
-/// signatures) — a sample's duplicate verdict depends on every *other*
-/// sample, so this sweep re-runs on every build regardless of caching.
-pub(crate) fn lsh_sweep(
-    sets: &[HashSet<u64>],
-    sigs: &[[u64; NUM_HASHES]],
-    threshold: f64,
-) -> Vec<bool> {
+/// pairs with exact Jaccard, and returns which samples die. A sample's
+/// duplicate verdict depends on every *other* sample, so this sweep
+/// re-runs on every build, cached signatures or not.
+fn lsh_sweep(sigs: &[DedupSigArtifact], threshold: f64) -> Vec<bool> {
     // Collect every banding candidate pair, then verify them in ascending
     // (i, j) order — the exact sweep order of the naive algorithm. Bucket
     // iteration order (a per-process `HashMap` artifact) therefore cannot
@@ -149,10 +162,8 @@ pub(crate) fn lsh_sweep(
     let mut candidates: BTreeSet<(usize, usize)> = BTreeSet::new();
     for band in 0..BANDS {
         let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, sig) in sigs.iter().enumerate() {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            sig[band * rows..(band + 1) * rows].hash(&mut h);
-            buckets.entry(h.finish()).or_default().push(i);
+        for (i, s) in sigs.iter().enumerate() {
+            buckets.entry(std_hash(&s.sig[band * rows..(band + 1) * rows])).or_default().push(i);
         }
         for bucket in buckets.values() {
             for (bi, &i) in bucket.iter().enumerate() {
@@ -162,12 +173,12 @@ pub(crate) fn lsh_sweep(
             }
         }
     }
-    let mut dead = vec![false; sets.len()];
+    let mut dead = vec![false; sigs.len()];
     for (i, j) in candidates {
         if dead[i] || dead[j] {
             continue;
         }
-        if jaccard(&sets[i], &sets[j]) >= threshold {
+        if jaccard(&sigs[i].shingles, &sigs[j].shingles) >= threshold {
             dead[j] = true;
         }
     }
@@ -177,7 +188,7 @@ pub(crate) fn lsh_sweep(
 /// Reference O(n²) implementation used to validate the LSH path in tests
 /// and benchmarks.
 pub fn dedup_naive(pool: Vec<RawSample>, threshold: f64) -> Vec<RawSample> {
-    let sets: Vec<HashSet<u64>> = pool.iter().map(|s| shingles(&s.source)).collect();
+    let sets: Vec<Vec<u64>> = pool.iter().map(|s| shingles(&s.source)).collect();
     let mut dead = vec![false; pool.len()];
     for i in 0..pool.len() {
         if dead[i] {

@@ -5,8 +5,10 @@
 //! content-addressed store and reused across builds — an edited corpus
 //! re-pays only for the samples that changed. This module owns the glue:
 //! the stage names/versions, the config fingerprints (which knob feeds
-//! which stage), the serialized artifact shapes, and the cached variants
-//! of each stage's sweep.
+//! which stage), the serialized artifact shapes, and `memo`, the one
+//! helper through which each stage of `Pipeline::run` reaches the
+//! optional store. Each stage is written once; without a store its memo
+//! is plain computation.
 //!
 //! Invalidation rules (each knob retires exactly the stages it feeds):
 //!
@@ -14,7 +16,7 @@
 //! |--------------|-------------------------------|--------------------------|
 //! | `broken`     | rejected: bool                | — (version only)         |
 //! | `no_module`  | rejected: bool                | — (version only)         |
-//! | `dedup_sig`  | shingle set + MinHash sig     | num_hashes, bands        |
+//! | `dedup_sig`  | sorted shingles + MinHash sig | num_hashes, bands        |
 //! | `dedup_join` | *(none — always re-runs)*     | jaccard threshold        |
 //! | `syntax_rank`| syntax/sim/keep verdict       | rank-judge version, sim  |
 //!
@@ -26,23 +28,19 @@
 //! therefore re-runs only the join, on cached signatures.
 //!
 //! Determinism: every lookup is keyed by content, never by index or
-//! thread, and each cached sweep fans out through the same
-//! order-preserving `par_map` as the uncached one — so cached, uncached,
+//! thread, and the memo sits inside the same order-preserving `par_map`
+//! fan-out whether or not a store is open — so cached, uncached,
 //! partially-cached, and any-thread-count runs all produce byte-identical
-//! curated output. The pipeline's funnel/`StageTimings` buckets are
-//! likewise preserved: each stage consults only its own artifacts over
-//! exactly the samples the uncached stage would see.
+//! curated output, with each stage consulting only its own artifacts over
+//! exactly the samples it would compute.
 
-use crate::dedup::{self, BANDS, NUM_HASHES};
+use crate::dedup::{BANDS, NUM_HASHES};
 use crate::layers::Layer;
 use crate::rank::{Rank, RANK_JUDGE_VERSION};
 use pyranet_cache::{content_hash, ArtifactStore, Fingerprint, Lookup, StageKey, StageProvenance};
-use pyranet_corpus::RawSample;
-use pyranet_exec::{par_map, ExecConfig};
 use pyranet_verilog::metrics::ComplexityTier;
 use pyranet_verilog::SimMode;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Artifact-format versions, one per stage. Bump a stage's version when
 /// its artifact shape or verdict semantics change; old artifacts become
@@ -66,14 +64,16 @@ pub struct FilterArtifact {
     pub rejected: bool,
 }
 
-/// A cached dedup signature: the sample's shingle set (sorted, so the
-/// stored bytes are stable across runs) plus its MinHash signature. The
-/// shingle set rides along because the LSH join verifies candidate pairs
-/// with *exact* Jaccard, not the signature estimate.
+/// A dedup signature, computed or cached: the sample's shingle set (sorted
+/// and deduplicated, so the stored bytes are stable across runs and
+/// Jaccard is a merge) plus its MinHash signature. The shingle set rides
+/// along because the LSH join verifies candidate pairs with *exact*
+/// Jaccard, not the signature estimate. A stored signature of the wrong
+/// length does not decode, so it reads as invalid and is recomputed.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DedupSigArtifact {
     pub shingles: Vec<u64>,
-    pub sig: Vec<u64>,
+    pub sig: [u64; NUM_HASHES],
 }
 
 /// A cached stage-4 verdict: rejected by the syntax check, rejected by
@@ -143,95 +143,49 @@ fn sim_knob(sim_check: Option<SimMode>) -> &'static str {
     }
 }
 
-/// A cached run of one filter stage: per-sample verdict lookups fan out
-/// through `par_map` (content-keyed, so order-independent), misses compute
-/// the predicate and publish the verdict. Returns survivors (in input
-/// order) and the reject count — the same contract as the uncached
-/// filters.
-pub(crate) fn filter_stage_cached(
-    store: &ArtifactStore,
+/// The one way a curation stage reaches the store: `stage`'s artifact for
+/// one sample's `source`. Without a store this is plain `compute()`. With
+/// one, a verified hit is returned as is, and a miss or an invalid entry
+/// is computed and published.
+pub(crate) fn memo<A: Serialize + Deserialize>(
+    store: Option<&ArtifactStore>,
     stage: &'static str,
     fingerprint: u64,
-    pool: Vec<RawSample>,
-    exec: &ExecConfig,
-    is_rejected: fn(&str) -> bool,
-) -> (Vec<RawSample>, usize) {
-    let verdicts: Vec<(RawSample, bool)> = par_map(exec, pool, move |s| {
-        let key = StageKey::new(stage, content_hash(&s.source), fingerprint);
-        let rejected = match store.get::<FilterArtifact>(&key) {
-            Lookup::Hit(v) => v.rejected,
-            Lookup::Miss | Lookup::Invalid => {
-                let rejected = is_rejected(&s.source);
-                // Advisory write: a full disk must not fail the build.
-                store.put(&key, &FilterArtifact { rejected }).ok();
-                rejected
-            }
-        };
-        (s, rejected)
-    });
-    let before = verdicts.len();
-    let alive: Vec<RawSample> =
-        verdicts.into_iter().filter(|(_, rejected)| !*rejected).map(|(s, _)| s).collect();
-    let rejected = before - alive.len();
-    (alive, rejected)
-}
-
-/// Cached dedup: per-sample shingle sets and MinHash signatures come from
-/// the store (or are computed and published), then the cross-sample LSH
-/// join runs as always — on every build — over the assembled signatures.
-pub(crate) fn dedup_cached(
-    store: &ArtifactStore,
-    fingerprint: u64,
-    pool: Vec<RawSample>,
-    threshold: f64,
-    exec: &ExecConfig,
-) -> Vec<RawSample> {
-    let sources: Vec<&str> = pool.iter().map(|s| s.source.as_str()).collect();
-    let per_sample: Vec<(HashSet<u64>, [u64; NUM_HASHES])> = par_map(exec, sources, move |src| {
-        let key = StageKey::new(STAGE_DEDUP_SIG, content_hash(src), fingerprint);
-        if let Lookup::Hit(art) = store.get::<DedupSigArtifact>(&key) {
-            // A malformed signature length means the artifact predates a
-            // parameter change that should have bumped the version — fall
-            // through and recompute rather than trust it.
-            if let Ok(sig) = <[u64; NUM_HASHES]>::try_from(art.sig.as_slice()) {
-                return (art.shingles.into_iter().collect(), sig);
-            }
-        }
-        let set = dedup::shingles(src);
-        let sig = dedup::minhash(&set);
-        let mut sorted: Vec<u64> = set.iter().copied().collect();
-        sorted.sort_unstable();
-        store.put(&key, &DedupSigArtifact { shingles: sorted, sig: sig.to_vec() }).ok();
-        (set, sig)
-    });
-    let (sets, sigs): (Vec<HashSet<u64>>, Vec<[u64; NUM_HASHES]>) = per_sample.into_iter().unzip();
-    let dead = dedup::lsh_sweep(&sets, &sigs, threshold);
-    pool.into_iter().zip(dead).filter(|(_, d)| !*d).map(|(s, _)| s).collect()
-}
-
-/// Assembles a curated sample from a cached keep-verdict plus the live
-/// raw sample it was derived from.
-pub(crate) fn curated_from_artifact(
-    s: RawSample,
-    rank: Rank,
-    tier: ComplexityTier,
-    layer: Layer,
-    dependency_issue: bool,
-) -> crate::dataset::CuratedSample {
-    crate::dataset::CuratedSample {
-        id: s.id,
-        source: s.source,
-        description: s.description,
-        rank,
-        tier,
-        layer,
-        dependency_issue,
+    source: &str,
+    compute: impl FnOnce() -> A,
+) -> A {
+    let Some(store) = store else { return compute() };
+    let key = StageKey::new(stage, content_hash(source), fingerprint);
+    if let Lookup::Hit(artifact) = store.get(&key) {
+        return artifact;
     }
+    let artifact = compute();
+    // Advisory write: a full disk must not fail the build.
+    store.put(&key, &artifact).ok();
+    artifact
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pipeline;
+    use pyranet_corpus::{Origin, RawSample, TruthLabel};
+    use std::path::PathBuf;
+
+    const INV: &str = "module inv(input a, output y);\n  assign y = ~a;\nendmodule\n";
+
+    fn pool(sources: &[&str]) -> Vec<RawSample> {
+        let raw = |(i, src): (usize, &&str)| {
+            RawSample::new(i as u64, *src, "", Origin::Scraped, TruthLabel::Clean)
+        };
+        sources.iter().enumerate().map(raw).collect()
+    }
+
+    fn temp_store(tag: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("pyranet-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&root).ok();
+        root
+    }
 
     #[test]
     fn fingerprints_isolate_their_knobs() {
@@ -267,6 +221,90 @@ mod tests {
                 STAGE_SYNTAX_RANK
             ]
         );
+    }
+
+    /// Pins the on-disk artifact format: the config fingerprints and the
+    /// payload bytes each stage publishes for fixed sources. A change here
+    /// silently turns every existing store into misses, so it must come
+    /// with a stage-version bump, never by accident.
+    #[test]
+    fn published_artifacts_are_pinned() {
+        use pyranet_cache::hash_bytes;
+
+        let fp = StageFingerprints::derive(0.85, None);
+        let fingerprints = [fp.broken, fp.no_module, fp.dedup_sig, fp.dedup_join, fp.syntax_rank];
+        assert_eq!(
+            fingerprints,
+            [
+                0xf19d_b034_640b_7c81,
+                0x5ded_ba20_b756_118a,
+                0xa7c4_8b6c_806c_6830,
+                0x83b6_36b4_aab0_c4b9,
+                0xaade_f66b_657c_4379,
+            ]
+        );
+
+        let sources = [
+            INV,
+            "module top(input a, output y);\n  sub u(.a(a), .y(y));\nendmodule\n",
+            "module bad(input a, output y);\n  assign y = a\nendmodule\n",
+            "just some notes, no hardware here\n",
+            "   \n",
+        ];
+        let root = temp_store("artifact-pins");
+        Pipeline::new().threads(1).cache_dir(root.clone()).run(pool(&sources));
+        let store = ArtifactStore::open(&root).unwrap();
+        let stages = [
+            (STAGE_BROKEN, fp.broken),
+            (STAGE_NO_MODULE, fp.no_module),
+            (STAGE_DEDUP_SIG, fp.dedup_sig),
+            (STAGE_SYNTAX_RANK, fp.syntax_rank),
+        ];
+        // Per source, per stage: FNV-1a of the published payload line, or
+        // 0 when the stage never saw the source.
+        let payloads: Vec<[u64; 4]> = sources
+            .iter()
+            .map(|src| {
+                stages.map(|(stage, config)| {
+                    let key = StageKey::new(stage, content_hash(src), config);
+                    std::fs::read_to_string(store.object_path(&key))
+                        .map_or(0, |entry| hash_bytes(entry.split_once('\n').unwrap().1.as_bytes()))
+                })
+            })
+            .collect();
+        std::fs::remove_dir_all(&root).ok();
+        // `FilterArtifact { rejected: false }` and `{ rejected: true }`.
+        const KEPT: u64 = 0x7ed5_0b20_0175_0110;
+        const REJECTED: u64 = 0xf04d_bb2f_f462_68e5;
+        assert_eq!(
+            payloads,
+            [
+                [KEPT, KEPT, 0xb6c7_6a5f_37b5_0604, 0xb51b_fd3f_3871_4d9a],
+                [KEPT, KEPT, 0xaf64_ee22_c24f_0258, 0x15dc_87b4_2113_e1cc],
+                [KEPT, KEPT, 0xd449_276e_20b3_43f1, 0x6e8d_41ab_9e3e_55f0],
+                [KEPT, REJECTED, 0, 0],
+                [REJECTED, 0, 0, 0],
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cached_signature_of_the_wrong_length_is_recomputed() {
+        #[derive(Serialize)]
+        struct ShortSig {
+            shingles: Vec<u64>,
+            sig: Vec<u64>,
+        }
+        let root = temp_store("short-sig");
+        let store = ArtifactStore::open(&root).unwrap();
+        let fingerprint = StageFingerprints::derive(0.85, None).dedup_sig;
+        let key = StageKey::new(STAGE_DEDUP_SIG, content_hash(INV), fingerprint);
+        store.put(&key, &ShortSig { shingles: vec![1], sig: vec![0; NUM_HASHES - 1] }).unwrap();
+        assert_eq!(store.get::<DedupSigArtifact>(&key), Lookup::Invalid);
+        let cached = Pipeline::new().cache_dir(root.clone()).run(pool(&[INV]));
+        assert_eq!(cached.dataset, Pipeline::new().run(pool(&[INV])).dataset);
+        assert_eq!(store.get(&key), Lookup::Hit(crate::dedup::signature(INV)));
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! the result, with curriculum-ordered iteration and JSONL persistence;
 //! [`persist`] adds sharded, manifest-indexed, checksum-verified exports.
 //! [`erroneous`] implements the Table IV label-shuffling ablation.
+//! [`incremental`] memoizes each stage's per-sample verdicts when a cache
+//! directory is set, inside the one curation path, [`Pipeline::run`].
 //!
 //! # Example
 //!
@@ -55,14 +57,16 @@ pub use pyranet_cache::StageProvenance;
 pub use rank::{rank_sample, Rank, RANK_JUDGE_VERSION};
 pub use stats::Funnel;
 
-use incremental::CurationArtifact;
-use pyranet_cache::{content_hash, ArtifactStore, CacheManifest, Lookup, StageKey};
+use incremental::{
+    memo, CurationArtifact, FilterArtifact, STAGE_BROKEN, STAGE_DEDUP_SIG, STAGE_NO_MODULE,
+    STAGE_SYNTAX_RANK,
+};
+use pyranet_cache::{ArtifactStore, CacheManifest};
 use pyranet_corpus::RawSample;
 use pyranet_exec::{par_map, ExecConfig};
 use pyranet_verilog::metrics::ComplexityTier;
-use pyranet_verilog::{check_file, parse, SimDesign, SimMode, SourceFile, SyntaxVerdict};
+use pyranet_verilog::{check_file, parse, SimDesign, SimMode, SyntaxVerdict};
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Configuration for a pipeline run.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,27 +125,17 @@ impl Pipeline {
         self
     }
 
-    fn exec_config(&self) -> ExecConfig {
-        ExecConfig::new().threads(self.threads)
-    }
-
     /// Runs the full curation pipeline over a raw pool.
-    pub fn run(&self, pool: Vec<RawSample>) -> PipelineOutcome {
-        self.run_timed(pool).0
-    }
-
-    /// Runs the pipeline, additionally reporting per-stage wall time.
     ///
-    /// Every stage runs under a `pyranet_obs` span (`pipeline.stage.*`)
-    /// and the funnel counts are mirrored into `pipeline.funnel.*`
-    /// counters — observational only, the curated output is byte-for-byte
-    /// what it was without instrumentation.
-    pub fn run_timed(&self, pool: Vec<RawSample>) -> (PipelineOutcome, StageTimings) {
+    /// Each stage is written once and reaches the optional artifact store
+    /// through [`incremental`]'s memo, so cached and uncached runs execute
+    /// the same code. Each stage's wall time is its `pipeline.stage.*`
+    /// span; the funnel is mirrored into `pipeline.funnel.*` counters.
+    pub fn run(&self, pool: Vec<RawSample>) -> PipelineOutcome {
         let obs = pyranet_obs::global();
         let run_span = obs.span("pipeline.run");
-        let exec = self.exec_config();
+        let exec = ExecConfig::new().threads(self.threads);
         let mut funnel = Funnel { collected: pool.len(), ..Funnel::default() };
-        let mut timings = StageTimings::default();
         let fingerprints = StageFingerprints::derive(self.jaccard_threshold, self.sim_check);
 
         // Open the incremental store if requested. Failure degrades to an
@@ -151,120 +145,73 @@ impl Pipeline {
         });
         let store = store.as_ref();
 
-        // Stage 1: empty/broken.
+        // Stages 1–2: the cheap filters, one memoized verdict per sample.
+        let filter_stage = |pool, stage, fingerprint, rejects: fn(&str) -> bool| {
+            filter::split(pool, &exec, |src| {
+                memo(store, stage, fingerprint, src, || FilterArtifact { rejected: rejects(src) })
+                    .rejected
+            })
+        };
         let span = obs.span("pipeline.stage.broken");
-        let (alive, rejected) = match store {
-            Some(store) => incremental::filter_stage_cached(
-                store,
-                incremental::STAGE_BROKEN,
-                fingerprints.broken,
-                pool,
-                &exec,
-                filter::is_broken,
-            ),
-            None => filter::filter_broken(pool),
-        };
+        let (alive, rejected) =
+            filter_stage(pool, STAGE_BROKEN, fingerprints.broken, filter::is_broken);
         funnel.rejected_broken = rejected;
-        timings.broken = span.stop();
+        drop(span);
 
-        // Stage 2: module declaration.
         let span = obs.span("pipeline.stage.no_module");
-        let (alive, rejected) = match store {
-            Some(store) => incremental::filter_stage_cached(
-                store,
-                incremental::STAGE_NO_MODULE,
-                fingerprints.no_module,
-                alive,
-                &exec,
-                |src| !filter::has_module_decl(src),
-            ),
-            None => filter::filter_no_module(alive),
-        };
+        let (alive, rejected) =
+            filter_stage(alive, STAGE_NO_MODULE, fingerprints.no_module, |src| {
+                !filter::has_module_decl(src)
+            });
         funnel.rejected_no_module = rejected;
-        timings.no_module = span.stop();
+        drop(span);
 
-        // Stage 3: dedup (MinHash signatures computed in parallel, cached
-        // per sample; the cross-sample LSH join always re-runs — see
-        // `incremental` for why it cannot be cached per sample).
+        // Stage 3: dedup. Per-sample signatures are memoized; the
+        // cross-sample LSH join re-runs on every build (see `incremental`
+        // for why it cannot be cached per sample).
         let span = obs.span("pipeline.stage.dedup");
         let before = alive.len();
-        let alive = match store {
-            Some(store) => incremental::dedup_cached(
-                store,
-                fingerprints.dedup_sig,
-                alive,
-                self.jaccard_threshold,
-                &exec,
-            ),
-            None => dedup::dedup_with(alive, self.jaccard_threshold, &exec),
-        };
+        let alive = dedup::dedup_by(alive, self.jaccard_threshold, &exec, |src| {
+            memo(store, STAGE_DEDUP_SIG, fingerprints.dedup_sig, src, || dedup::signature(src))
+        });
         funnel.rejected_duplicates = before - alive.len();
-        timings.dedup = span.stop();
+        drop(span);
 
         // Stage 4: syntax check + rank + complexity, one parse per
-        // survivor, fanned out across the executor. Each sample's curation
-        // is a pure function of the sample, so par_map's determinism
+        // survivor, fanned out across the executor. Each verdict is a pure
+        // function of the sample's source, so par_map's determinism
         // contract makes the outcome thread-count-independent — with or
         // without the cache, whose lookups are content-keyed.
         let span = obs.span("pipeline.stage.syntax_rank");
-        timings.syntax_in = alive.len();
-        let sim_check = self.sim_check;
-        let syntax_fp = fingerprints.syntax_rank;
-        let curated = par_map(&exec, alive, move |s| {
-            let Some(store) = store else { return curate_one(s, sim_check) };
-            let key =
-                StageKey::new(incremental::STAGE_SYNTAX_RANK, content_hash(&s.source), syntax_fp);
-            match store.get::<CurationArtifact>(&key) {
-                Lookup::Hit(CurationArtifact::Syntax) => Curation::Syntax,
-                Lookup::Hit(CurationArtifact::Sim) => Curation::Sim,
-                Lookup::Hit(CurationArtifact::Keep { rank, tier, layer, dependency_issue }) => {
-                    Curation::Keep(Box::new(incremental::curated_from_artifact(
-                        s,
+        let verdicts = par_map(&exec, alive, |s| {
+            let verdict =
+                memo(store, STAGE_SYNTAX_RANK, fingerprints.syntax_rank, &s.source, || {
+                    curate(&s.source, self.sim_check)
+                });
+            (s, verdict)
+        });
+        let mut dataset = PyraNetDataset::default();
+        for (s, verdict) in verdicts {
+            match verdict {
+                CurationArtifact::Keep { rank, tier, layer, dependency_issue } => {
+                    dataset.push(CuratedSample {
+                        id: s.id,
+                        source: s.source,
+                        description: s.description,
                         rank,
                         tier,
                         layer,
                         dependency_issue,
-                    )))
+                    });
                 }
-                Lookup::Miss | Lookup::Invalid => {
-                    let outcome = curate_one(s, sim_check);
-                    let artifact = match &outcome {
-                        Curation::Syntax => CurationArtifact::Syntax,
-                        Curation::Sim => CurationArtifact::Sim,
-                        Curation::Keep(sample) => CurationArtifact::Keep {
-                            rank: sample.rank,
-                            tier: sample.tier,
-                            layer: sample.layer,
-                            dependency_issue: sample.dependency_issue,
-                        },
-                    };
-                    store.put(&key, &artifact).ok();
-                    outcome
-                }
-            }
-        });
-        let mut dataset = PyraNetDataset::default();
-        for outcome in curated {
-            match outcome {
-                Curation::Keep(sample) => dataset.push(*sample),
-                Curation::Syntax => funnel.rejected_syntax += 1,
-                Curation::Sim => funnel.rejected_sim += 1,
+                CurationArtifact::Syntax => funnel.rejected_syntax += 1,
+                CurationArtifact::Sim => funnel.rejected_sim += 1,
             }
         }
-        timings.syntax_rank = span.stop();
+        drop(span);
 
         funnel.curated = dataset.len();
-        assert!(
-            funnel.is_consistent(),
-            "funnel lost samples: {} collected vs {} accounted",
-            funnel.collected,
-            funnel.rejected_broken
-                + funnel.rejected_no_module
-                + funnel.rejected_duplicates
-                + funnel.rejected_syntax
-                + funnel.rejected_sim
-                + funnel.curated
-        );
+        assert!(funnel.is_consistent(), "funnel lost samples: {funnel:?}");
         for (name, count) in [
             ("collected", funnel.collected),
             ("rejected_broken", funnel.rejected_broken),
@@ -284,7 +231,7 @@ impl Pipeline {
             CacheManifest::new(provenance.clone()).save(store.root()).ok();
         }
         drop(run_span);
-        (PipelineOutcome { dataset, funnel, provenance }, timings)
+        PipelineOutcome { dataset, funnel, provenance }
     }
 }
 
@@ -294,73 +241,32 @@ impl Default for Pipeline {
     }
 }
 
-/// Per-sample outcome of the curation stage (keeps the funnel's rejection
-/// buckets distinct through the parallel fan-out).
-enum Curation {
-    Keep(Box<CuratedSample>),
-    Syntax,
-    Sim,
-}
-
-/// Curates one dedup survivor from scratch: parse, syntax check, rank,
-/// complexity, and the opt-in sim check. A pure function of the sample's
-/// content and the sim mode — which is what makes the verdict cacheable.
-fn curate_one(s: RawSample, sim_check: Option<SimMode>) -> Curation {
-    let file = match parse(&s.source) {
-        Ok(f) => f,
-        Err(_) => return Curation::Syntax,
-    };
-    match check_file(&file) {
-        SyntaxVerdict::SyntaxError { .. } => Curation::Syntax,
-        verdict => {
-            let sample = curate_survivor(s, &verdict, &file);
-            // Opt-in: self-contained survivors must also build and
-            // settle in the simulator. Dependency-issue samples are
-            // exempt (their missing modules cannot elaborate) —
-            // they keep their Layer-6 demotion instead.
-            if let Some(mode) = sim_check {
-                if !sample.dependency_issue && !simulates(&file, mode) {
-                    return Curation::Sim;
-                }
-            }
-            Curation::Keep(Box::new(sample))
-        }
+/// Stage 4's verdict for one dedup survivor, from scratch: parse, syntax
+/// check, the opt-in sim check, rank, complexity. A pure function of the
+/// source and the sim mode — which is what makes the verdict cacheable.
+fn curate(source: &str, sim_check: Option<SimMode>) -> CurationArtifact {
+    let Ok(file) = parse(source) else { return CurationArtifact::Syntax };
+    let verdict = check_file(&file);
+    if matches!(verdict, SyntaxVerdict::SyntaxError { .. }) {
+        return CurationArtifact::Syntax;
     }
-}
-
-/// True when the file's first module elaborates, builds and settles under
-/// `mode` (the same front end the eval testbench uses).
-fn simulates(file: &SourceFile, mode: SimMode) -> bool {
-    let Some(top) = file.modules.first() else { return false };
-    match SimDesign::from_file(file, &top.name, mode) {
-        Ok(design) => design.instantiate().is_ok(),
-        Err(_) => false,
-    }
-}
-
-/// Builds the curated record for a sample that survived the syntax check,
-/// reusing the parse produced by the check itself.
-fn curate_survivor(s: RawSample, verdict: &SyntaxVerdict, file: &SourceFile) -> CuratedSample {
     let dependency_issue = matches!(verdict, SyntaxVerdict::DependencyIssue { .. });
-    // `check_file` rejects empty files, so a survivor always has a module.
-    let (rank, tier) = match file.modules.first() {
-        Some(module) => {
-            let rank = rank_sample(module, &s.source);
-            let tier = ComplexityTier::classify(pyranet_verilog::metrics::measure(module).score());
-            (rank, tier)
+    // `check_file` rejects files without a module.
+    let Some(module) = file.modules.first() else { return CurationArtifact::Syntax };
+    // Opt-in: self-contained survivors must also build and settle in the
+    // simulator, through the front end the eval testbench uses.
+    // Dependency-issue samples are exempt (their missing modules cannot
+    // elaborate) — they keep their Layer-6 demotion instead.
+    if let Some(mode) = sim_check.filter(|_| !dependency_issue) {
+        let design = SimDesign::from_file(&file, &module.name, mode);
+        if !design.is_ok_and(|design| design.instantiate().is_ok()) {
+            return CurationArtifact::Sim;
         }
-        None => (Rank::new(0), ComplexityTier::Basic),
-    };
-    let layer = Layer::assign(rank, dependency_issue);
-    CuratedSample {
-        id: s.id,
-        source: s.source,
-        description: s.description,
-        rank,
-        tier,
-        layer,
-        dependency_issue,
     }
+    let rank = rank_sample(module, source);
+    let tier = ComplexityTier::classify(pyranet_verilog::metrics::measure(module).score());
+    let layer = Layer::assign(rank, dependency_issue);
+    CurationArtifact::Keep { rank, tier, layer, dependency_issue }
 }
 
 /// The result of a pipeline run.
@@ -374,21 +280,6 @@ pub struct PipelineOutcome {
     /// version, config fingerprint) — embeddable into the shard manifest
     /// via [`ExportMeta`].
     pub provenance: Vec<StageProvenance>,
-}
-
-/// Wall-clock time spent in each pipeline stage (for the bench harness).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageTimings {
-    /// Stage 1: empty/broken filter.
-    pub broken: Duration,
-    /// Stage 2: module-declaration filter.
-    pub no_module: Duration,
-    /// Stage 3: dedup (signatures + LSH + verification).
-    pub dedup: Duration,
-    /// Stage 4: parse + check + rank + complexity.
-    pub syntax_rank: Duration,
-    /// Samples entering stage 4 (for samples/sec reporting).
-    pub syntax_in: usize,
 }
 
 #[cfg(test)]

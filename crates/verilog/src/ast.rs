@@ -123,6 +123,21 @@ pub struct Range {
     pub lsb: Expr,
 }
 
+/// The width of `[msb:lsb]` when both bounds are integer literals, or sums
+/// and differences of them; `None` for any other bound (a parameter, say),
+/// where each caller picks its own fallback.
+pub fn const_width(r: &Range) -> Option<u32> {
+    fn value(e: &Expr) -> Option<i64> {
+        match e {
+            Expr::Literal { value, .. } => Some(*value as i64),
+            Expr::Binary(BinaryOp::Sub, a, b) => Some(value(a)?.wrapping_sub(value(b)?)),
+            Expr::Binary(BinaryOp::Add, a, b) => Some(value(a)?.wrapping_add(value(b)?)),
+            _ => None,
+        }
+    }
+    Some((value(&r.msb)?.wrapping_sub(value(&r.lsb)?).unsigned_abs() as u32).wrapping_add(1))
+}
+
 /// Kind of a net/variable declaration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum NetKind {
@@ -527,6 +542,16 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn const_width_evaluation() {
+        let src = "module m(input [7:0] a, input [0:3] b, input [2+1:0] c, input [W-1:0] d);";
+        let m = crate::parse_module(&format!("{src} endmodule")).unwrap();
+        let widths: Vec<_> =
+            m.ports.iter().map(|p| p.range.as_ref().and_then(const_width)).collect();
+        assert_eq!(widths, [Some(8), Some(4), Some(4), None]);
+        assert_eq!(crate::metrics::measure(&m).port_bits, 8 + 4 + 4 + 8);
+    }
 
     #[test]
     fn collect_idents_walks_everything() {

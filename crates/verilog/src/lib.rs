@@ -53,7 +53,7 @@ pub mod token;
 pub use ast::{Module, SourceFile};
 pub use check::{check_file, check_source, SyntaxVerdict};
 pub use lexer::Lexer;
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use sim::{SimDesign, SimInstance, SimMode, Simulator, Value};
 
 /// Convenience: lex and parse `src`, returning the first module, if any.

@@ -149,21 +149,6 @@ pub fn measure(m: &Module) -> StructuralMetrics {
     s
 }
 
-/// Evaluates `[msb:lsb]` to a width when both bounds are integer literals.
-fn const_width(r: &Range) -> Option<u32> {
-    fn const_val(e: &Expr) -> Option<i64> {
-        match e {
-            Expr::Literal { value, .. } => Some(*value as i64),
-            Expr::Binary(BinaryOp::Sub, a, b) => Some(const_val(a)? - const_val(b)?),
-            Expr::Binary(BinaryOp::Add, a, b) => Some(const_val(a)? + const_val(b)?),
-            _ => None,
-        }
-    }
-    let msb = const_val(&r.msb)?;
-    let lsb = const_val(&r.lsb)?;
-    Some((msb - lsb).unsigned_abs() as u32 + 1)
-}
-
 fn measure_items(items: &[Item], s: &mut StructuralMetrics) {
     for item in items {
         match item {
@@ -361,14 +346,5 @@ mod tests {
              always @(posedge clk) y <= t; endmodule",
         );
         assert!(bigger > simple);
-    }
-
-    #[test]
-    fn const_width_evaluation() {
-        let m =
-            parse_module("module m(input [7:0] a, output [15:0] y); assign y = {a, a}; endmodule")
-                .unwrap();
-        let s = measure(&m);
-        assert_eq!(s.port_bits, 8 + 16);
     }
 }

@@ -60,16 +60,44 @@ pub fn parse(src: &str) -> Result<SourceFile, ParseError> {
     Parser::new(tokens).source_file()
 }
 
+/// The deepest nesting the parser accepts, over parenthesised, unary,
+/// binary (each operator of a chain is a level) and ternary expressions,
+/// statements and concatenated lvalues together. Every walker of the tree
+/// recurses, so deeper input is a [`ParseError`], not a stack overflow
+/// that aborts the process; a tree at the budget still builds and
+/// simulates on a 2 MiB worker-thread stack.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseError>;
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser { tokens, pos: 0, depth: 0 }
+    }
+
+    /// Enters one more nesting level, within the budget.
+    fn enter(&mut self) -> PResult<()> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parses one nested production within the nesting budget. A parse
+    /// error abandons the whole parse, so only success restores the depth.
+    fn nested<T>(&mut self, production: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.enter()?;
+        let out = production(self)?;
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn peek(&self) -> &Tk {
@@ -445,6 +473,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::stmt_body)
+    }
+
+    fn stmt_body(&mut self) -> PResult<Stmt> {
         match self.peek().clone() {
             Tk::Keyword(Kw::Begin) => {
                 self.bump();
@@ -563,7 +595,7 @@ impl Parser {
         if self.eat(&Tk::LBrace) {
             let mut parts = Vec::new();
             loop {
-                parts.push(self.lvalue()?);
+                parts.push(self.nested(Self::lvalue)?);
                 if !self.eat(&Tk::Comma) {
                     break;
                 }
@@ -638,7 +670,7 @@ impl Parser {
     // ---- expressions with precedence climbing ----
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.ternary()
+        self.nested(Self::ternary)
     }
 
     fn ternary(&mut self) -> PResult<Expr> {
@@ -687,12 +719,15 @@ impl Parser {
     }
 
     fn binary(&mut self, min_prec: u8) -> PResult<Expr> {
+        let outer = self.depth;
         let mut lhs = self.unary()?;
         while let Some((op, prec)) = self.bin_op(min_prec) {
             self.bump();
+            self.enter()?;
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -713,7 +748,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.unary()?;
+            let operand = self.nested(Self::unary)?;
             return Ok(Expr::Unary(op, Box::new(operand)));
         }
         self.primary()

@@ -311,7 +311,7 @@ fn equivalence_check_eval_is_byte_identical_at_any_thread_count_and_order() {
     // serialized EvalResults must be *byte-identical* at every thread
     // count, and shuffled problem arrival must only permute the
     // per-problem rows.
-    use pyranet::eval::{CheckMode, Problem};
+    use pyranet::eval::{CheckStrategy, Problem, DEFAULT_MAX_EQ_INPUTS};
     let (lm, tk) = tiny_model();
     let problems: Vec<_> = machine_split().into_iter().take(4).collect();
     let run = |problems: &[Problem], threads| {
@@ -319,7 +319,7 @@ fn equivalence_check_eval_is_byte_identical_at_any_thread_count_and_order() {
             samples_per_problem: 3,
             max_new_tokens: 16,
             threads,
-            check: CheckMode::Equivalence,
+            check: CheckStrategy::Equivalence { max_input_bits: DEFAULT_MAX_EQ_INPUTS },
             ..EvalOptions::default()
         };
         evaluate(&lm, &tk, problems, &opts)

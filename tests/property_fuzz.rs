@@ -218,3 +218,71 @@ proptest! {
         prop_assert!(!out.iter().any(|s| s.id == 999), "verbatim duplicate must be removed");
     }
 }
+
+/// Modules computing `y` from `a` through one construct nested `n` deep,
+/// each with the value `y` takes at `a = 1`: parentheses, unary operators,
+/// an operator chain, ternaries and statement blocks. The right-hand side
+/// of the assignment to `y` is a level itself, so they nest `n + 1` levels.
+fn nested_modules(n: usize) -> [(String, u64); 5] {
+    let module =
+        |y: &str, body: String| format!("module m(input a, output {y});\n  {body}\nendmodule\n");
+    let assign = |rhs: String| module("y", format!("assign y = {rhs};"));
+    // `always` holds n - 1 blocks around the assignment statement.
+    let blocks = format!("always @(*) {}y = a;{}", "begin ".repeat(n - 1), " end".repeat(n - 1));
+    [
+        (assign(format!("{}a{}", "(".repeat(n), ")".repeat(n))), 1),
+        (assign(format!("{}a", "~".repeat(n))), (n as u64 + 1) % 2),
+        (assign(format!("a{}", " & a".repeat(n))), 1),
+        (assign(format!("{}a", "a ? a : ".repeat(n))), 1),
+        (module("reg y", blocks), 1),
+    ]
+}
+
+/// Runs `f` on a thread with a 2 MiB stack, the size `par_map` workers get.
+fn on_worker_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn_scoped(s, f)
+            .expect("spawn worker thread")
+            .join()
+            .expect("worker thread panicked")
+    })
+}
+
+/// Regression: `pyranet check` on 20,000 nested parentheses overflowed the
+/// stack and aborted the process, and so did `pyranet sim` on a
+/// 20,000-operator chain. Nesting past the budget is now a syntax error.
+#[test]
+fn nesting_past_the_budget_is_a_syntax_error_not_a_stack_overflow() {
+    use pyranet::verilog::{SyntaxVerdict, MAX_NESTING};
+    for n in [MAX_NESTING, 20_000] {
+        for (src, _) in nested_modules(n) {
+            let verdict = on_worker_stack(|| check_source(&src));
+            assert!(matches!(verdict, SyntaxVerdict::SyntaxError { .. }), "{verdict:?}: {src:.80}");
+        }
+    }
+}
+
+/// A design exactly at the nesting budget still checks, lints, ranks and
+/// simulates under both backends on a worker-sized stack.
+#[test]
+fn designs_at_the_nesting_budget_check_lint_rank_and_simulate() {
+    use pyranet::pipeline::rank_sample;
+    use pyranet::verilog::lint::lint_module;
+    use pyranet::verilog::{parse_module, SimDesign, SimMode, MAX_NESTING};
+    for (src, want) in nested_modules(MAX_NESTING - 1) {
+        on_worker_stack(|| {
+            assert!(check_source(&src).is_clean(), "{src:.80}");
+            let module = parse_module(&src).expect("parses");
+            lint_module(&module, &src);
+            rank_sample(&module, &src);
+            for mode in [SimMode::Compiled, SimMode::Reference] {
+                let design = SimDesign::build(&src, "m", mode).expect("builds");
+                let mut sim = design.instantiate().expect("instantiates");
+                sim.set("a", 1).expect("drives a");
+                assert_eq!(sim.get("y").expect("reads y").as_u64(), want, "{mode:?}: {src:.80}");
+            }
+        });
+    }
+}
