@@ -257,6 +257,7 @@ pub fn evaluate(
     obs.counter("sim.cache_hits").add(cache_hits);
     obs.counter("sim.vectors").add(sim_stats.vectors);
     obs.counter("sim.steps").add(sim_stats.steps);
+    obs.counter("sim.golden_replayed").add(sim_stats.golden_replayed);
     if matches!(opts.check, CheckStrategy::Equivalence { .. }) {
         obs.counter("eval.equivalence.exhaustive").add(sim_stats.exhaustive_checks);
         obs.counter("eval.equivalence.fallback").add(sim_stats.fallback_checks);

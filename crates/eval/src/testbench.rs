@@ -9,9 +9,14 @@
 //! to choose internal structure.
 //!
 //! Simulation runs through [`pyranet_verilog::SimDesign`]: the golden model
-//! is parsed, elaborated and (by default) compiled to bytecode **once per
-//! [`ProblemBench`]**, then cheaply re-instantiated for every candidate
-//! check; each candidate is compiled once and driven for all vectors. The
+//! is parsed, elaborated, (by default) compiled to bytecode and
+//! instantiated **once per [`ProblemBench`]**. The bench's vector plan —
+//! the ascending exhaustive sweep, or the seeded stimulus vectors with
+//! their reset pulse and clocks — does not depend on the candidate, so the
+//! golden is driven along it once and its outputs are recorded in a
+//! bit-packed trace, extended only as far as some candidate has reached.
+//! Each candidate is compiled once, its ports are resolved to slots once,
+//! and it alone is driven, vector by vector, against the trace. The
 //! compiled and reference backends are pinned bit-identical, so
 //! [`SimMode`] never changes a verdict — only how fast it arrives.
 
@@ -19,8 +24,10 @@ use pyranet_corpus::families::{Category, DesignFamily};
 use pyranet_corpus::gen::generate;
 use pyranet_corpus::style::StyleOptions;
 use pyranet_verilog::ast::{const_width, PortDir};
-use pyranet_verilog::sim::exhaustive_assignments;
-use pyranet_verilog::{parse, SimDesign, SimInstance, SimMode};
+use pyranet_verilog::sim::{
+    exhaustive_assignments, ExhaustiveSweep, InputSlot, SignalSlot, SimError,
+};
+use pyranet_verilog::{parse, SimDesign, SimInstance, SimMode, Value};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -71,8 +78,11 @@ pub enum CheckStrategy {
     },
 }
 
-/// Default input-bit cap for [`CheckStrategy::Equivalence`] (2^12 = 4096
-/// assignments at most — milliseconds on the bytecode VM).
+/// Default input-bit cap for [`CheckStrategy::Equivalence`]: 2^12 = 4096
+/// assignments at most. A bench simulates the golden over them once and
+/// keeps its outputs as a trace of 2^bits × output bits / 8 bytes; each
+/// check then simulates only the candidate — milliseconds on the bytecode
+/// VM.
 pub const DEFAULT_MAX_EQ_INPUTS: u32 = 12;
 
 impl std::str::FromStr for CheckStrategy {
@@ -96,10 +106,15 @@ impl std::str::FromStr for CheckStrategy {
 pub struct SimStats {
     /// Designs prepared (golden + candidates; compile-once each).
     pub programs: u64,
-    /// Stimulus vectors driven.
+    /// Stimulus vectors driven, counted per candidate check.
     pub vectors: u64,
-    /// Individual `set`/`clock` operations applied across both designs.
+    /// Individual `set`/`clock` operations actually applied to a
+    /// simulator: every candidate's, and the golden's only while its trace
+    /// is recorded (a replayed vector applies none).
     pub steps: u64,
+    /// Vectors whose golden outputs came from the trace an earlier check
+    /// recorded, instead of being simulated for this check.
+    pub golden_replayed: u64,
     /// Wall time spent parsing/elaborating/compiling designs.
     pub compile_time: Duration,
     /// Wall time spent driving vectors.
@@ -118,6 +133,7 @@ impl SimStats {
         self.programs += other.programs;
         self.vectors += other.vectors;
         self.steps += other.steps;
+        self.golden_replayed += other.golden_replayed;
         self.compile_time += other.compile_time;
         self.run_time += other.run_time;
         self.exhaustive_checks += other.exhaustive_checks;
@@ -169,6 +185,62 @@ fn classify(src: &str, sequential: bool) -> Result<(Interface, String), String> 
     Ok((iface, module.name.clone()))
 }
 
+/// Matches a candidate's interface to the golden one: positionally, equal
+/// data-input count and widths, equal output count, and a clock (and a
+/// reset, when the golden has one) on sequential benches. Returns the
+/// candidate's interface and top module name.
+fn match_interface(
+    gold: &Interface,
+    candidate_src: &str,
+    sequential: bool,
+) -> Result<(Interface, String), FunctionalVerdict> {
+    let (cand, top) =
+        classify(candidate_src, sequential).map_err(FunctionalVerdict::BuildFailure)?;
+    let mismatch = |m: String| Err(FunctionalVerdict::InterfaceMismatch(m));
+    if cand.inputs.len() != gold.inputs.len() {
+        return mismatch(format!(
+            "expected {} data inputs, found {}",
+            gold.inputs.len(),
+            cand.inputs.len()
+        ));
+    }
+    for (i, ((_, gw), (cn, cw))) in gold.inputs.iter().zip(&cand.inputs).enumerate() {
+        if gw != cw {
+            return mismatch(format!("input {i} (`{cn}`) is {cw} bits, expected {gw}"));
+        }
+    }
+    if cand.outputs.len() != gold.outputs.len() {
+        return mismatch(format!(
+            "expected {} outputs, found {}",
+            gold.outputs.len(),
+            cand.outputs.len()
+        ));
+    }
+    if sequential && cand.clock.is_none() {
+        return mismatch("no clock input found".into());
+    }
+    if gold.reset.is_some() && sequential && cand.reset.is_none() {
+        return mismatch("no reset input found".into());
+    }
+    Ok((cand, top))
+}
+
+/// Builds and instantiates a candidate, counting its program and compile
+/// time.
+fn build_candidate(
+    src: &str,
+    top: &str,
+    mode: SimMode,
+    stats: &mut SimStats,
+) -> Result<SimInstance, FunctionalVerdict> {
+    let started = Instant::now();
+    let design = SimDesign::build(src, top, mode);
+    stats.compile_time += started.elapsed();
+    let design = design.map_err(|e| FunctionalVerdict::BuildFailure(e.to_string()))?;
+    stats.programs += 1;
+    design.instantiate().map_err(|e| FunctionalVerdict::BuildFailure(e.to_string()))
+}
+
 /// The golden reference source for a family (clean terse style, fixed
 /// seed, so it is identical across calls).
 pub fn golden_source(family: &DesignFamily) -> String {
@@ -179,19 +251,247 @@ pub fn golden_source(family: &DesignFamily) -> String {
 /// Number of stimulus vectors per check.
 const VECTORS: usize = 48;
 
+/// The input vectors every check of a bench drives, in order. It depends
+/// only on the golden interface and the strategy, never on the candidate.
+enum Plan {
+    /// Every assignment in ascending order (exhaustive equivalence).
+    Sweep(ExhaustiveSweep),
+    /// [`VECTORS`] seeded pseudo-random assignments, row-major, after a
+    /// reset pulse on sequential designs.
+    Stimulus(Vec<u64>),
+}
+
+impl Plan {
+    fn new(check: CheckStrategy, sequential: bool, widths: &[u32]) -> Plan {
+        if let CheckStrategy::Equivalence { max_input_bits } = check {
+            if !sequential {
+                if let Some(sweep) = exhaustive_assignments(widths, max_input_bits) {
+                    return Plan::Sweep(sweep);
+                }
+            }
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(0x57EE7);
+        let mut rows = Vec::with_capacity(VECTORS * widths.len());
+        for _ in 0..VECTORS {
+            rows.extend(widths.iter().map(|w| rng.random::<u64>() & Value::mask(*w)));
+        }
+        Plan::Stimulus(rows)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Plan::Sweep(sweep) => sweep.total() as usize,
+            Plan::Stimulus(_) => VECTORS,
+        }
+    }
+
+    /// The assignment of vector `v` (a swept one is decoded into `buf`).
+    fn values<'a>(&'a self, v: usize, buf: &'a mut Vec<u64>) -> &'a [u64] {
+        match self {
+            Plan::Sweep(sweep) => {
+                sweep.decode_into(v as u64, buf);
+                buf
+            }
+            Plan::Stimulus(rows) => {
+                let n = rows.len() / VECTORS;
+                &rows[v * n..(v + 1) * n]
+            }
+        }
+    }
+}
+
+/// An interface's ports resolved to slots of one instance. A port that
+/// does not resolve keeps its error, which surfaces where the by-name call
+/// would have failed.
+struct Ports {
+    clock: Option<Result<InputSlot, SimError>>,
+    reset: Option<Result<InputSlot, SimError>>,
+    inputs: Vec<Result<InputSlot, SimError>>,
+    outputs: Vec<Result<SignalSlot, SimError>>,
+}
+
+impl Ports {
+    fn resolve(sim: &SimInstance, iface: &Interface) -> Ports {
+        Ports {
+            clock: iface.clock.as_deref().map(|n| sim.input_slot(n)),
+            reset: iface.reset.as_deref().map(|n| sim.input_slot(n)),
+            inputs: iface.inputs.iter().map(|(n, _)| sim.input_slot(n)).collect(),
+            outputs: iface.outputs.iter().map(|n| sim.signal_slot(n)).collect(),
+        }
+    }
+}
+
+fn set(
+    sim: &mut SimInstance,
+    port: &Result<InputSlot, SimError>,
+    value: u64,
+) -> Result<(), SimError> {
+    sim.set_slot(port.clone()?, value)
+}
+
+fn clock(sim: &mut SimInstance, port: &Result<InputSlot, SimError>) -> Result<(), SimError> {
+    sim.clock_slot(port.clone()?)
+}
+
+/// The reset pulse of a sequential design (assert reset, one clock,
+/// release); a no-op on a combinational one, whose interface has neither
+/// port.
+fn pulse(sim: &mut SimInstance, ports: &Ports, steps: &mut u64) -> Result<(), SimError> {
+    if let Some(r) = &ports.reset {
+        *steps += 1;
+        set(sim, r, 1)?;
+    }
+    if let Some(c) = &ports.clock {
+        *steps += 1;
+        clock(sim, c)?;
+    }
+    if let Some(r) = &ports.reset {
+        *steps += 1;
+        set(sim, r, 0)?;
+    }
+    Ok(())
+}
+
+/// Where along the plan the golden model failed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Reset,
+    Drive,
+    Clock,
+    Read(usize),
+}
+
+/// The golden model, driven once along its bench's plan with its outputs
+/// recorded, bit-packed at the output widths. Checks replay the record
+/// instead of re-simulating the golden; recording happens lazily (the
+/// reset pulse, then one vector at a time) when a check first needs it.
+struct GoldenTrace {
+    sim: SimInstance,
+    ports: Ports,
+    /// Whether the reset pulse has been applied.
+    pulsed: bool,
+    /// (bit offset within a vector's record, width) of each output.
+    fields: Vec<(usize, u32)>,
+    /// Bits per vector: the sum of the output widths.
+    stride: usize,
+    bits: Vec<u64>,
+    /// Vectors fully recorded.
+    len: usize,
+    /// The golden's first failure — at which vector (0 for the reset
+    /// pulse), in which phase, and the verdict of every check that gets
+    /// there. Recording stops at it.
+    fault: Option<(usize, Phase, FunctionalVerdict)>,
+}
+
+impl GoldenTrace {
+    fn new(sim: SimInstance, iface: &Interface) -> GoldenTrace {
+        let ports = Ports::resolve(&sim, iface);
+        let mut stride = 0;
+        let fields = (ports.outputs.iter())
+            .map(|o| {
+                let width = o.as_ref().map_or(0, |s| sim.get_slot(*s).width());
+                stride += width as usize;
+                (stride - width as usize, width)
+            })
+            .collect();
+        GoldenTrace {
+            sim,
+            ports,
+            pulsed: false,
+            fields,
+            stride,
+            bits: Vec::new(),
+            len: 0,
+            fault: None,
+        }
+    }
+
+    /// Applies the reset pulse the first time a check reaches it.
+    fn reset(&mut self, steps: &mut u64) {
+        if !self.pulsed {
+            self.pulsed = true;
+            if let Err(e) = pulse(&mut self.sim, &self.ports, steps) {
+                self.fail(0, Phase::Reset, format!("golden reset: {e}"));
+            }
+        }
+    }
+
+    fn fail(&mut self, v: usize, phase: Phase, why: String) {
+        self.fault = Some((v, phase, FunctionalVerdict::BuildFailure(why)));
+    }
+
+    /// Drives the golden through vector `v`, the first unrecorded one, and
+    /// records its outputs, or the failure that stops it.
+    fn record(&mut self, v: usize, values: &[u64], steps: &mut u64) {
+        debug_assert_eq!(v, self.len, "the trace grows one vector at a time");
+        for (port, value) in self.ports.inputs.iter().zip(values) {
+            *steps += 1;
+            if let Err(e) = set(&mut self.sim, port, *value) {
+                return self.fail(v, Phase::Drive, format!("golden drive: {e}"));
+            }
+        }
+        if let Some(c) = &self.ports.clock {
+            *steps += 1;
+            if let Err(e) = clock(&mut self.sim, c) {
+                return self.fail(v, Phase::Clock, format!("golden clock: {e}"));
+            }
+        }
+        self.bits.resize(((v + 1) * self.stride).div_ceil(64), 0);
+        for (o, port) in self.ports.outputs.iter().enumerate() {
+            match port {
+                Ok(s) => {
+                    let (offset, width) = self.fields[o];
+                    let at = v * self.stride + offset;
+                    let bits = self.sim.get_slot(*s).as_u64();
+                    let (word, shift) = (at / 64, at % 64);
+                    self.bits[word] |= bits << shift;
+                    if shift + width as usize > 64 {
+                        self.bits[word + 1] |= bits >> (64 - shift);
+                    }
+                }
+                Err(e) => return self.fail(v, Phase::Read(o), format!("golden read: {e}")),
+            }
+        }
+        self.len = v + 1;
+    }
+
+    /// The recorded value of output `o` at vector `v`.
+    fn output(&self, v: usize, o: usize) -> u64 {
+        let (offset, width) = self.fields[o];
+        let at = v * self.stride + offset;
+        let (word, shift) = (at / 64, at % 64);
+        let mut bits = self.bits[word] >> shift;
+        if shift + width as usize > 64 {
+            bits |= self.bits[word + 1] << (64 - shift);
+        }
+        bits & Value::mask(width)
+    }
+
+    /// The verdict of a check that reaches `phase` of vector `v`, if the
+    /// golden failed right there.
+    fn fault_at(&self, v: usize, phase: Phase) -> Option<FunctionalVerdict> {
+        match &self.fault {
+            Some((at, p, verdict)) if *at == v && *p == phase => Some(verdict.clone()),
+            _ => None,
+        }
+    }
+}
+
 /// Golden-side preparation shared across all candidate checks of a problem.
 struct Prepared {
     gold_iface: Interface,
-    /// Parse/elab (and compile) the golden source once; errors are deferred
-    /// to check time so the verdict ordering matches the historical
-    /// single-shot path (interface mismatches win over golden failures).
-    golden: Result<SimDesign, String>,
+    plan: Plan,
+    /// Parse/elab (and compile) and instantiate the golden once; errors
+    /// are deferred to check time so the verdict ordering matches the
+    /// historical single-shot path (interface mismatches win over golden
+    /// failures).
+    golden: Result<GoldenTrace, String>,
 }
 
 /// A problem's testbench, with the golden model prepared once.
 ///
 /// `check` may be called for any number of candidates; each pays only its
-/// own front-end cost plus a cheap golden re-instantiation.
+/// own front-end cost plus one simulation of the candidate along the plan.
 pub struct ProblemBench {
     mode: SimMode,
     check: CheckStrategy,
@@ -215,18 +515,30 @@ impl ProblemBench {
         mode: SimMode,
         check: CheckStrategy,
     ) -> ProblemBench {
-        let mut stats = SimStats::default();
         let sequential = family.category() == Category::Sequential;
-        let golden_src = golden_source(family);
+        ProblemBench::from_golden(&golden_source(family), sequential, mode, check)
+    }
+
+    fn from_golden(
+        golden_src: &str,
+        sequential: bool,
+        mode: SimMode,
+        check: CheckStrategy,
+    ) -> ProblemBench {
+        let mut stats = SimStats::default();
         let started = Instant::now();
-        let prep = match classify(&golden_src, sequential) {
+        let prep = match classify(golden_src, sequential) {
             Ok((gold_iface, gold_top)) => {
-                let golden =
-                    SimDesign::build(&golden_src, &gold_top, mode).map_err(|e| e.to_string());
-                if golden.is_ok() {
-                    stats.programs += 1;
-                }
-                Ok(Prepared { gold_iface, golden })
+                let widths: Vec<u32> = gold_iface.inputs.iter().map(|(_, w)| *w).collect();
+                let plan = Plan::new(check, sequential, &widths);
+                let golden = SimDesign::build(golden_src, &gold_top, mode)
+                    .map_err(|e| e.to_string())
+                    .and_then(|design| {
+                        stats.programs += 1;
+                        let sim = design.instantiate().map_err(|e| e.to_string())?;
+                        Ok(GoldenTrace::new(sim, &gold_iface))
+                    });
+                Ok(Prepared { gold_iface, plan, golden })
             }
             Err(e) => Err(FunctionalVerdict::BuildFailure(format!("golden: {e}"))),
         };
@@ -240,212 +552,98 @@ impl ProblemBench {
     /// matched positionally and must agree in input count and widths and in
     /// output count.
     pub fn check(&mut self, candidate_src: &str) -> FunctionalVerdict {
-        let prep = match &self.prep {
+        let prep = match &mut self.prep {
             Ok(p) => p,
             Err(v) => return v.clone(),
         };
-        let (cand_iface, cand_top) = match classify(candidate_src, self.sequential) {
-            Ok(x) => x,
-            Err(e) => return FunctionalVerdict::BuildFailure(e),
-        };
-        // Small clone so `drive` can take `&mut self` for stats counting.
-        let gold_iface = prep.gold_iface.clone();
-        let gold_iface = &gold_iface;
-        if cand_iface.inputs.len() != gold_iface.inputs.len() {
-            return FunctionalVerdict::InterfaceMismatch(format!(
-                "expected {} data inputs, found {}",
-                gold_iface.inputs.len(),
-                cand_iface.inputs.len()
-            ));
-        }
-        for (i, ((_, gw), (cn, cw))) in gold_iface.inputs.iter().zip(&cand_iface.inputs).enumerate()
-        {
-            if gw != cw {
-                return FunctionalVerdict::InterfaceMismatch(format!(
-                    "input {i} (`{cn}`) is {cw} bits, expected {gw}"
-                ));
-            }
-        }
-        if cand_iface.outputs.len() != gold_iface.outputs.len() {
-            return FunctionalVerdict::InterfaceMismatch(format!(
-                "expected {} outputs, found {}",
-                gold_iface.outputs.len(),
-                cand_iface.outputs.len()
-            ));
-        }
-        if self.sequential && cand_iface.clock.is_none() {
-            return FunctionalVerdict::InterfaceMismatch("no clock input found".into());
-        }
-        if gold_iface.reset.is_some() && self.sequential && cand_iface.reset.is_none() {
-            return FunctionalVerdict::InterfaceMismatch("no reset input found".into());
-        }
-
-        let mut gold = match &prep.golden {
-            Ok(design) => match design.instantiate() {
-                Ok(s) => s,
-                Err(e) => return FunctionalVerdict::BuildFailure(format!("golden: {e}")),
-            },
+        let (cand_iface, cand_top) =
+            match match_interface(&prep.gold_iface, candidate_src, self.sequential) {
+                Ok(x) => x,
+                Err(v) => return v,
+            };
+        let golden = match &mut prep.golden {
+            Ok(g) => g,
             Err(e) => return FunctionalVerdict::BuildFailure(format!("golden: {e}")),
         };
-        let compile_started = Instant::now();
-        let cand_design = match SimDesign::build(candidate_src, &cand_top, self.mode) {
-            Ok(d) => d,
-            Err(e) => {
-                self.stats.compile_time += compile_started.elapsed();
-                return FunctionalVerdict::BuildFailure(e.to_string());
-            }
+        let mut cand = match build_candidate(candidate_src, &cand_top, self.mode, &mut self.stats) {
+            Ok(c) => c,
+            Err(v) => return v,
         };
-        self.stats.programs += 1;
-        self.stats.compile_time += compile_started.elapsed();
-        let mut cand = match cand_design.instantiate() {
-            Ok(s) => s,
-            Err(e) => return FunctionalVerdict::BuildFailure(e.to_string()),
-        };
-
+        if let Plan::Sweep(_) = prep.plan {
+            self.stats.exhaustive_checks += 1;
+        } else if let CheckStrategy::Equivalence { .. } = self.check {
+            self.stats.fallback_checks += 1;
+        }
         let run_started = Instant::now();
-        let verdict = self.drive(&mut gold, gold_iface, &mut cand, &cand_iface);
+        let verdict = drive(golden, &prep.plan, &mut cand, &cand_iface, &mut self.stats);
         self.stats.run_time += run_started.elapsed();
         verdict
     }
+}
 
-    fn drive(
-        &mut self,
-        gold: &mut SimInstance,
-        gold_iface: &Interface,
-        cand: &mut SimInstance,
-        cand_iface: &Interface,
-    ) -> FunctionalVerdict {
-        // Exhaustive equivalence path: combinational and within the bit cap.
-        // No reset, no clock, no RNG — just every assignment in ascending
-        // order, so the verdict is deterministic by construction.
-        if let CheckStrategy::Equivalence { max_input_bits } = self.check {
-            if !self.sequential {
-                let widths: Vec<u32> = gold_iface.inputs.iter().map(|(_, w)| *w).collect();
-                if let Some(sweep) = exhaustive_assignments(&widths, max_input_bits) {
-                    self.stats.exhaustive_checks += 1;
-                    for (v, values) in sweep.enumerate() {
-                        self.stats.vectors += 1;
-                        if let Some(verdict) =
-                            self.step_and_compare(gold, gold_iface, cand, cand_iface, v, &values)
-                        {
-                            return verdict;
-                        }
-                    }
-                    return FunctionalVerdict::Pass;
-                }
-            }
-            // Over the cap or sequential: same stimulus vectors as
-            // `CheckStrategy::Stimulus`.
-            self.stats.fallback_checks += 1;
+/// Drives the candidate along the plan and compares its outputs, vector by
+/// vector, with the golden trace, recording the trace first where no check
+/// has been yet. The one drive loop of both strategies; the golden's own
+/// failures surface at the phase where a live golden would have met them.
+fn drive(
+    golden: &mut GoldenTrace,
+    plan: &Plan,
+    cand: &mut SimInstance,
+    iface: &Interface,
+    stats: &mut SimStats,
+) -> FunctionalVerdict {
+    let ports = Ports::resolve(cand, iface);
+    golden.reset(&mut stats.steps);
+    if let Some(verdict) = golden.fault_at(0, Phase::Reset) {
+        return verdict;
+    }
+    if let Err(e) = pulse(cand, &ports, &mut stats.steps) {
+        return FunctionalVerdict::RuntimeFailure(format!("reset: {e}"));
+    }
+    let mut buf = Vec::new();
+    for v in 0..plan.len() {
+        stats.vectors += 1;
+        let values = plan.values(v, &mut buf);
+        if v < golden.len {
+            stats.golden_replayed += 1;
+        } else if golden.fault.is_none() {
+            golden.record(v, values, &mut stats.steps);
         }
-
-        let mut rng = ChaCha8Rng::seed_from_u64(0x57EE7);
-        // reset pulse for sequential designs
-        if self.sequential {
-            let pulse = |sim: &mut SimInstance, iface: &Interface| -> Result<u64, String> {
-                let mut steps = 0u64;
-                if let Some(r) = &iface.reset {
-                    sim.set(r, 1).map_err(|e| e.to_string())?;
-                    steps += 1;
-                }
-                if let Some(c) = &iface.clock {
-                    sim.clock(c).map_err(|e| e.to_string())?;
-                    steps += 1;
-                }
-                if let Some(r) = &iface.reset {
-                    sim.set(r, 0).map_err(|e| e.to_string())?;
-                    steps += 1;
-                }
-                Ok(steps)
-            };
-            match pulse(gold, gold_iface) {
-                Ok(steps) => self.stats.steps += steps,
-                Err(e) => return FunctionalVerdict::BuildFailure(format!("golden reset: {e}")),
-            }
-            match pulse(cand, cand_iface) {
-                Ok(steps) => self.stats.steps += steps,
-                Err(e) => return FunctionalVerdict::RuntimeFailure(format!("reset: {e}")),
+        if let Some(verdict) = golden.fault_at(v, Phase::Drive) {
+            return verdict;
+        }
+        for (((name, _), port), value) in iface.inputs.iter().zip(&ports.inputs).zip(values) {
+            stats.steps += 1;
+            if let Err(e) = set(cand, port, *value) {
+                return FunctionalVerdict::RuntimeFailure(format!("drive `{name}`: {e}"));
             }
         }
-
-        for v in 0..VECTORS {
-            self.stats.vectors += 1;
-            // one stimulus for both designs
-            let values: Vec<u64> = gold_iface
-                .inputs
-                .iter()
-                .map(|(_, w)| rng.random::<u64>() & pyranet_verilog::Value::mask(*w))
-                .collect();
-            if let Some(verdict) =
-                self.step_and_compare(gold, gold_iface, cand, cand_iface, v, &values)
-            {
+        if let Some(verdict) = golden.fault_at(v, Phase::Clock) {
+            return verdict;
+        }
+        if let Some(c) = &ports.clock {
+            stats.steps += 1;
+            if let Err(e) = clock(cand, c) {
+                return FunctionalVerdict::RuntimeFailure(format!("clock: {e}"));
+            }
+        }
+        for (o, (name, port)) in iface.outputs.iter().zip(&ports.outputs).enumerate() {
+            if let Some(verdict) = golden.fault_at(v, Phase::Read(o)) {
                 return verdict;
             }
-        }
-        FunctionalVerdict::Pass
-    }
-
-    /// Applies one input assignment to both designs (clocking sequential
-    /// ones) and compares outputs positionally. `Some(verdict)` on failure.
-    fn step_and_compare(
-        &mut self,
-        gold: &mut SimInstance,
-        gold_iface: &Interface,
-        cand: &mut SimInstance,
-        cand_iface: &Interface,
-        v: usize,
-        values: &[u64],
-    ) -> Option<FunctionalVerdict> {
-        for ((gn, _), val) in gold_iface.inputs.iter().zip(values) {
-            self.stats.steps += 1;
-            if let Err(e) = gold.set(gn, *val) {
-                return Some(FunctionalVerdict::BuildFailure(format!("golden drive: {e}")));
-            }
-        }
-        for ((cn, _), val) in cand_iface.inputs.iter().zip(values) {
-            self.stats.steps += 1;
-            if let Err(e) = cand.set(cn, *val) {
-                return Some(FunctionalVerdict::RuntimeFailure(format!("drive `{cn}`: {e}")));
-            }
-        }
-        if self.sequential {
-            if let Some(c) = &gold_iface.clock {
-                self.stats.steps += 1;
-                if let Err(e) = gold.clock(c) {
-                    return Some(FunctionalVerdict::BuildFailure(format!("golden clock: {e}")));
-                }
-            }
-            if let Some(c) = &cand_iface.clock {
-                self.stats.steps += 1;
-                if let Err(e) = cand.clock(c) {
-                    return Some(FunctionalVerdict::RuntimeFailure(format!("clock: {e}")));
-                }
-            }
-        }
-        for (o, (gn, cn)) in gold_iface.outputs.iter().zip(&cand_iface.outputs).enumerate() {
-            let gv = match gold.get(gn) {
-                Ok(v) => v,
-                Err(e) => {
-                    return Some(FunctionalVerdict::BuildFailure(format!("golden read: {e}")))
-                }
+            let cv = match port {
+                Ok(s) => cand.get_slot(*s).as_u64(),
+                Err(e) => return FunctionalVerdict::RuntimeFailure(format!("read `{name}`: {e}")),
             };
-            let cv = match cand.get(cn) {
-                Ok(v) => v,
-                Err(e) => {
-                    return Some(FunctionalVerdict::RuntimeFailure(format!("read `{cn}`: {e}")))
-                }
-            };
-            // compare at the golden width (a wider candidate output is
-            // tolerated if the low bits agree and the rest are zero)
-            let w = gv.width();
-            if gv.as_u64() != (cv.as_u64() & pyranet_verilog::Value::mask(w))
-                || cv.as_u64() >> w.min(63) != 0
-            {
-                return Some(FunctionalVerdict::Mismatch { vector: v, output: o });
+            // Compared at the golden width: a wider candidate output passes
+            // when its low bits agree and the rest are zero, i.e. when it
+            // equals the golden value.
+            if cv != golden.output(v, o) {
+                return FunctionalVerdict::Mismatch { vector: v, output: o };
             }
         }
-        None
     }
+    FunctionalVerdict::Pass
 }
 
 /// Checks `candidate_src` against the golden model of `family` under the
@@ -479,6 +677,8 @@ mod tests {
             DesignFamily::Alu { width: 8 },
             DesignFamily::Ram { addr_width: 3, data_width: 8 },
             DesignFamily::SequenceDetector { pattern: vec![true, false, true] },
+            // A full-width output: bit 63 is data, not overflow.
+            DesignFamily::BinToGray { width: 64 },
         ] {
             let src = golden_source(&family);
             let v = check_functional(&src, &family);
@@ -598,6 +798,7 @@ mod tests {
         }
         assert_eq!(bench.stats.programs, 4, "one program per candidate check");
         assert_eq!(bench.stats.vectors, 3 * 48);
+        assert_eq!(bench.stats.golden_replayed, 2 * 48, "the first check records the golden");
         assert!(bench.stats.steps > bench.stats.vectors, "steps include drives and clocks");
     }
 
@@ -698,5 +899,348 @@ mod tests {
             check_functional(&src, &DesignFamily::HalfAdder),
             check_functional_with(&src, &DesignFamily::HalfAdder, SimMode::Reference),
         );
+    }
+
+    /// The live-golden, by-name drive loop the golden trace replaced, kept
+    /// as its oracle: a fresh golden instance per check, driven beside the
+    /// candidate through `set`/`clock`/`get` on every vector.
+    mod live {
+        use super::super::*;
+        use pyranet_verilog::Value;
+
+        /// Checks `src` against `golden_src` the way the bench did before
+        /// the trace; returns the verdict and the vectors driven.
+        pub(super) fn check(
+            golden_src: &str,
+            sequential: bool,
+            mode: SimMode,
+            strategy: CheckStrategy,
+            src: &str,
+        ) -> (FunctionalVerdict, u64) {
+            let (gold_iface, gold_top) = match classify(golden_src, sequential) {
+                Ok(x) => x,
+                Err(e) => return (FunctionalVerdict::BuildFailure(format!("golden: {e}")), 0),
+            };
+            let (cand_iface, cand_top) = match match_interface(&gold_iface, src, sequential) {
+                Ok(x) => x,
+                Err(v) => return (v, 0),
+            };
+            let golden =
+                SimDesign::build(golden_src, &gold_top, mode).and_then(|d| d.instantiate());
+            let mut gold = match golden {
+                Ok(g) => g,
+                Err(e) => return (FunctionalVerdict::BuildFailure(format!("golden: {e}")), 0),
+            };
+            let mut cand = match build_candidate(src, &cand_top, mode, &mut SimStats::default()) {
+                Ok(c) => c,
+                Err(v) => return (v, 0),
+            };
+            let mut live = Live { strategy, sequential, vectors: 0 };
+            let verdict = live.drive(&mut gold, &gold_iface, &mut cand, &cand_iface);
+            (verdict, live.vectors)
+        }
+
+        struct Live {
+            strategy: CheckStrategy,
+            sequential: bool,
+            vectors: u64,
+        }
+
+        impl Live {
+            fn drive(
+                &mut self,
+                gold: &mut SimInstance,
+                gold_iface: &Interface,
+                cand: &mut SimInstance,
+                cand_iface: &Interface,
+            ) -> FunctionalVerdict {
+                if let CheckStrategy::Equivalence { max_input_bits } = self.strategy {
+                    if !self.sequential {
+                        let widths: Vec<u32> = gold_iface.inputs.iter().map(|(_, w)| *w).collect();
+                        if let Some(sweep) = exhaustive_assignments(&widths, max_input_bits) {
+                            for (v, values) in sweep.enumerate() {
+                                self.vectors += 1;
+                                if let Some(verdict) = self.step_and_compare(
+                                    gold, gold_iface, cand, cand_iface, v, &values,
+                                ) {
+                                    return verdict;
+                                }
+                            }
+                            return FunctionalVerdict::Pass;
+                        }
+                    }
+                }
+                let mut rng = ChaCha8Rng::seed_from_u64(0x57EE7);
+                if self.sequential {
+                    let pulse = |sim: &mut SimInstance, iface: &Interface| -> Result<(), String> {
+                        if let Some(r) = &iface.reset {
+                            sim.set(r, 1).map_err(|e| e.to_string())?;
+                        }
+                        if let Some(c) = &iface.clock {
+                            sim.clock(c).map_err(|e| e.to_string())?;
+                        }
+                        if let Some(r) = &iface.reset {
+                            sim.set(r, 0).map_err(|e| e.to_string())?;
+                        }
+                        Ok(())
+                    };
+                    if let Err(e) = pulse(gold, gold_iface) {
+                        return FunctionalVerdict::BuildFailure(format!("golden reset: {e}"));
+                    }
+                    if let Err(e) = pulse(cand, cand_iface) {
+                        return FunctionalVerdict::RuntimeFailure(format!("reset: {e}"));
+                    }
+                }
+                for v in 0..VECTORS {
+                    self.vectors += 1;
+                    let values: Vec<u64> = gold_iface
+                        .inputs
+                        .iter()
+                        .map(|(_, w)| rng.random::<u64>() & Value::mask(*w))
+                        .collect();
+                    if let Some(verdict) =
+                        self.step_and_compare(gold, gold_iface, cand, cand_iface, v, &values)
+                    {
+                        return verdict;
+                    }
+                }
+                FunctionalVerdict::Pass
+            }
+
+            fn step_and_compare(
+                &mut self,
+                gold: &mut SimInstance,
+                gold_iface: &Interface,
+                cand: &mut SimInstance,
+                cand_iface: &Interface,
+                v: usize,
+                values: &[u64],
+            ) -> Option<FunctionalVerdict> {
+                use FunctionalVerdict::{BuildFailure, Mismatch, RuntimeFailure};
+                for ((gn, _), val) in gold_iface.inputs.iter().zip(values) {
+                    if let Err(e) = gold.set(gn, *val) {
+                        return Some(BuildFailure(format!("golden drive: {e}")));
+                    }
+                }
+                for ((cn, _), val) in cand_iface.inputs.iter().zip(values) {
+                    if let Err(e) = cand.set(cn, *val) {
+                        return Some(RuntimeFailure(format!("drive `{cn}`: {e}")));
+                    }
+                }
+                if self.sequential {
+                    if let Some(c) = &gold_iface.clock {
+                        if let Err(e) = gold.clock(c) {
+                            return Some(BuildFailure(format!("golden clock: {e}")));
+                        }
+                    }
+                    if let Some(c) = &cand_iface.clock {
+                        if let Err(e) = cand.clock(c) {
+                            return Some(RuntimeFailure(format!("clock: {e}")));
+                        }
+                    }
+                }
+                for (o, (gn, cn)) in gold_iface.outputs.iter().zip(&cand_iface.outputs).enumerate()
+                {
+                    let gv = match gold.get(gn) {
+                        Ok(v) => v,
+                        Err(e) => return Some(BuildFailure(format!("golden read: {e}"))),
+                    };
+                    let cv = match cand.get(cn) {
+                        Ok(v) => v,
+                        Err(e) => return Some(RuntimeFailure(format!("read `{cn}`: {e}"))),
+                    };
+                    // compare at the golden width (a wider candidate output
+                    // is tolerated if the low bits agree and the rest are
+                    // zero)
+                    let w = gv.width();
+                    if gv.as_u64() != (cv.as_u64() & Value::mask(w))
+                        || (w < 64 && cv.as_u64() >> w != 0)
+                    {
+                        return Some(Mismatch { vector: v, output: o });
+                    }
+                }
+                None
+            }
+        }
+    }
+
+    /// A candidate with the golden's ports whose every output is the
+    /// `fill` bit repeated. Of the all-ones and all-zeros pair, at least
+    /// one mismatches the golden's first output at vector 0.
+    fn constant_candidate(family: &DesignFamily, fill: char) -> String {
+        let file = parse(&golden_source(family)).expect("golden parses");
+        let mut ports = Vec::new();
+        let mut body = String::new();
+        for p in &file.modules[0].ports {
+            let w = p.range.as_ref().and_then(const_width).unwrap_or(1);
+            let dir = if p.dir == PortDir::Input { "input" } else { "output" };
+            ports.push(format!("{dir} [{}:0] {}", w - 1, p.name));
+            if p.dir == PortDir::Output {
+                body.push_str(&format!("  assign {} = {{{w}{{1'b{fill}}}}};\n", p.name));
+            }
+        }
+        format!("module konst({});\n{body}endmodule\n", ports.join(", "))
+    }
+
+    /// Swaps one stand-alone `+ - & | ^` after the module keyword for its
+    /// counterpart (`+`↔`-`, `&`↔`|`, `^`→`&`), the `pick`-th (mod count).
+    fn swap_operator(src: &str, pick: usize) -> Option<String> {
+        let b = src.as_bytes();
+        let is_op = |c: &u8| b"+-&|^~!=<>:*/%".contains(c);
+        let sites: Vec<usize> = (src.find("module")?..b.len())
+            .filter(|&i| {
+                matches!(b[i], b'+' | b'-' | b'&' | b'|' | b'^')
+                    && !is_op(&b[i - 1])
+                    && !b.get(i + 1).is_some_and(is_op)
+            })
+            .collect();
+        let at = *sites.get(pick % sites.len().max(1))?;
+        let swapped = match b[at] {
+            b'+' => "-",
+            b'-' => "+",
+            b'&' => "|",
+            _ => "&",
+        };
+        Some(format!("{}{swapped}{}", &src[..at], &src[at + 1..]))
+    }
+
+    /// Candidates of every class for one problem, the vector-0 failures
+    /// first: constant outputs, golden re-renders, `degrade_text`, syntax-
+    /// and dependency-broken re-renders, and operator-swap mutants.
+    fn candidates_of_every_class(family: &DesignFamily, seed: u64) -> Vec<String> {
+        use pyranet_corpus::defect::{
+            degrade_text, inject_dependency_issue_checked, inject_syntax_error_checked,
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let rerender = |rng: &mut ChaCha8Rng| {
+            let style = StyleOptions::sampled(rng.random::<f64>(), rng);
+            generate(family, &style, rng).source
+        };
+        let mut out = vec![constant_candidate(family, '1'), constant_candidate(family, '0')];
+        for _ in 0..2 {
+            out.push(rerender(&mut rng));
+        }
+        let base = rerender(&mut rng);
+        out.push(degrade_text(&base, 0.8, &mut rng));
+        out.push(inject_syntax_error_checked(&base, &mut rng).source);
+        out.push(inject_dependency_issue_checked(&base, &mut rng).source);
+        for _ in 0..3 {
+            let base = rerender(&mut rng);
+            out.extend(swap_operator(&base, rng.random()));
+        }
+        out
+    }
+
+    #[test]
+    fn golden_trace_verdicts_equal_the_live_golden_oracle() {
+        let strategies = [
+            CheckStrategy::Stimulus,
+            CheckStrategy::Equivalence { max_input_bits: 12 },
+            CheckStrategy::Equivalence { max_input_bits: 16 },
+        ];
+        for problem in crate::problems::machine_split() {
+            let family = &problem.family;
+            let sequential = family.category() == Category::Sequential;
+            let golden = golden_source(family);
+            let cands = candidates_of_every_class(family, 0xC0DE);
+            for strategy in strategies {
+                for mode in [SimMode::Compiled, SimMode::Reference] {
+                    let at = format!("{} {strategy:?} {mode}", problem.id);
+                    let oracle: Vec<(FunctionalVerdict, u64)> = cands
+                        .iter()
+                        .map(|c| live::check(&golden, sequential, mode, strategy, c))
+                        .collect();
+                    assert!(
+                        oracle[..2].iter().any(|(v, _)| matches!(
+                            v,
+                            FunctionalVerdict::Mismatch { vector: 0, .. }
+                        )),
+                        "{at}: no candidate fails at vector 0: {oracle:?}"
+                    );
+                    // One shared bench, forward then reverse order, and a
+                    // fresh bench per candidate.
+                    let mut forward = ProblemBench::new_with_check(family, mode, strategy);
+                    let mut reverse = ProblemBench::new_with_check(family, mode, strategy);
+                    let reversed: Vec<FunctionalVerdict> =
+                        cands.iter().rev().map(|c| reverse.check(c)).collect();
+                    for (i, (c, (want, vectors))) in cands.iter().zip(&oracle).enumerate() {
+                        let before = forward.stats.vectors;
+                        assert_eq!(&forward.check(c), want, "{at}: forward, candidate {i}\n{c}");
+                        assert_eq!(forward.stats.vectors - before, *vectors, "{at}: vectors {i}");
+                        assert_eq!(&reversed[cands.len() - 1 - i], want, "{at}: reverse, {i}\n{c}");
+                        let mut fresh = ProblemBench::new_with_check(family, mode, strategy);
+                        assert_eq!(&fresh.check(c), want, "{at}: fresh, candidate {i}\n{c}");
+                        assert_eq!(fresh.stats.golden_replayed, 0, "{at}: nothing to replay");
+                    }
+                    // The golden simulates each vector once per bench: as
+                    // far as the furthest candidate got, whatever the order.
+                    let furthest = oracle.iter().map(|(_, n)| *n).max().unwrap_or(0);
+                    for bench in [&forward, &reverse] {
+                        let recorded = bench.stats.vectors - bench.stats.golden_replayed;
+                        assert_eq!(recorded, furthest, "{at}: golden vectors simulated");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn golden_failures_surface_where_the_live_golden_met_them() {
+        // Goldens that fail mid-plan: a loop enabled by an input (drive
+        // phase), by a register (clock phase) and by the reset value
+        // (reset pulse). Candidates fail before, at and after those points;
+        // every verdict must be the live loop's.
+        let loop_on_input = "module g(input [1:0] a, output y);\n  wire n;\n  \
+                             assign n = (a == 2'd2) ? ~n : 1'b0;\n  assign y = n ^ a[0];\n\
+                             endmodule\n";
+        let on_input = |cond: &str| {
+            format!(
+                "module c(input [1:0] a, output y);\n  wire n;\n  \
+                 assign n = {cond} ? ~n : 1'b0;\n  assign y = n ^ a[0];\nendmodule\n"
+            )
+        };
+        let loop_on_register = |reset_value: char| {
+            format!(
+                "module g(input clk, input rst, input d, output y);\n  reg q;\n  wire n;\n  \
+                 always @(posedge clk) if (rst) q <= 1'b{reset_value}; else q <= d;\n  \
+                 assign n = q ? ~n : 1'b0;\n  assign y = n;\nendmodule\n"
+            )
+        };
+        let seq_cand = |body: &str| {
+            format!("module c(input clk, input rst, input d, output y);\n{body}\nendmodule\n")
+        };
+        let mut cases = vec![
+            (loop_on_input.to_owned(), false, on_input("1'b0")),
+            (loop_on_input.to_owned(), false, on_input("(a == 2'd1)")),
+            (loop_on_input.to_owned(), false, on_input("(a == 2'd2)")),
+            (loop_on_input.to_owned(), false, on_input("(a == 2'd3)")),
+            (
+                loop_on_input.to_owned(),
+                false,
+                "module c(input [1:0] a, output y); assign y = a[1]; endmodule".to_owned(),
+            ),
+        ];
+        for reset_value in ['0', '1'] {
+            for body in ["  assign y = 1'b0;", "  assign y = 1'b1;", "  assign y = d;"] {
+                cases.push((loop_on_register(reset_value), true, seq_cand(body)));
+            }
+        }
+        let mut seen = String::new();
+        for (golden, sequential, cand) in &cases {
+            for strategy in
+                [CheckStrategy::Stimulus, CheckStrategy::Equivalence { max_input_bits: 12 }]
+            {
+                for mode in [SimMode::Compiled, SimMode::Reference] {
+                    let (want, _) = live::check(golden, *sequential, mode, strategy, cand);
+                    let mut bench = ProblemBench::from_golden(golden, *sequential, mode, strategy);
+                    assert_eq!(bench.check(cand), want, "{strategy:?} {mode}:\n{cand}");
+                    assert_eq!(bench.check(cand), want, "replayed, {strategy:?} {mode}:\n{cand}");
+                    seen.push_str(&format!("{want:?}\n"));
+                }
+            }
+        }
+        for phase in ["golden reset", "golden drive", "golden clock", "drive `a`", "Mismatch"] {
+            assert!(seen.contains(phase), "no case ends at {phase}:\n{seen}");
+        }
     }
 }

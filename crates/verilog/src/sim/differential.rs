@@ -1,9 +1,10 @@
 //! Differential tests pinning the compiled VM bit-identical to the
 //! reference engine: same output values after every stimulus step, same
 //! `SimError` classification (compared by `Display`, which is what the
-//! eval harness folds into verdicts) on every failure path.
+//! eval harness folds into verdicts) on every failure path. On both
+//! backends, driving through resolved slots is pinned to driving by name.
 
-use super::{SimDesign, SimInstance, SimMode};
+use super::{SimDesign, SimError, SimInstance, SimMode};
 
 /// One stimulus step applied identically to both backends.
 enum Step<'a> {
@@ -13,19 +14,35 @@ enum Step<'a> {
 use Step::{Clock, Set};
 
 /// Builds `top` under both modes, applies `steps` to both instances, and
-/// asserts outputs (and error strings) agree after every step. Returns
-/// whether the compiled backend was actually engaged (vs. fallback).
+/// asserts outputs (and error strings) agree after every step. A second
+/// instance per mode takes the same steps through `input_slot`/`set_slot`
+/// and must read back, through `get_slot`, what `get` reads on the first.
+/// Returns whether the compiled backend was actually engaged (vs.
+/// fallback).
 fn assert_identical(src: &str, top: &str, steps: &[Step<'_>]) -> bool {
     let compiled = SimDesign::build(src, top, SimMode::Compiled).expect("build compiled");
     let reference = SimDesign::build(src, top, SimMode::Reference).expect("build reference");
     let mut c = compiled.instantiate().expect("instantiate compiled");
     let mut r = reference.instantiate().expect("instantiate reference");
+    let mut c_slots = compiled.instantiate().expect("instantiate compiled");
+    let mut r_slots = reference.instantiate().expect("instantiate reference");
     assert_outputs_equal(&c, &r, "initial");
     for (i, step) in steps.iter().enumerate() {
         let (cr, rr) = match step {
             Set(name, v) => (c.set(name, *v), r.set(name, *v)),
             Clock(clk) => (c.clock(clk), r.clock(clk)),
         };
+        for (by_name, name_result, by_slot) in [(&c, &cr, &mut c_slots), (&r, &rr, &mut r_slots)] {
+            let slot_result = step_by_slot(by_slot, step);
+            assert_eq!(
+                slot_result.as_ref().map_err(ToString::to_string),
+                name_result.as_ref().map_err(ToString::to_string),
+                "slot vs name result at step {i}"
+            );
+            if slot_result.is_ok() {
+                assert_slot_reads_agree(by_name, by_slot, &format!("step {i}"));
+            }
+        }
         match (&cr, &rr) {
             (Ok(()), Ok(())) => {}
             (Err(ce), Err(re)) => {
@@ -37,6 +54,29 @@ fn assert_identical(src: &str, top: &str, steps: &[Step<'_>]) -> bool {
         assert_outputs_equal(&c, &r, &format!("step {i}"));
     }
     compiled.is_compiled()
+}
+
+/// Applies one step through resolved slots.
+fn step_by_slot(sim: &mut SimInstance, step: &Step<'_>) -> Result<(), SimError> {
+    match step {
+        Set(name, v) => {
+            let slot = sim.input_slot(name)?;
+            sim.set_slot(slot, *v)
+        }
+        Clock(clk) => {
+            let slot = sim.input_slot(clk)?;
+            sim.clock_slot(slot)
+        }
+    }
+}
+
+/// Every output read by resolved slot on `by_slot` equals `get` on
+/// `by_name` (same backend, same steps applied).
+fn assert_slot_reads_agree(by_name: &SimInstance, by_slot: &SimInstance, at: &str) {
+    for out in by_name.outputs() {
+        let slot = by_slot.signal_slot(out).expect("an output resolves");
+        assert_eq!(by_slot.get_slot(slot), by_name.get(out).expect("get"), "`{out}` at {at}");
+    }
 }
 
 fn assert_outputs_equal(c: &SimInstance, r: &SimInstance, at: &str) {
@@ -329,6 +369,21 @@ fn api_errors_agree() {
         c.get("zz").expect_err("unknown").to_string(),
         r.get("zz").expect_err("unknown").to_string(),
     );
+    // Slot resolution fails exactly as the by-name calls do.
+    for sim in [&mut c, &mut r] {
+        let output = sim.input_slot("y").expect_err("an output is not an input");
+        assert!(matches!(output, SimError::NotAnInput(_)), "{output:?}");
+        assert_eq!(output.to_string(), sim.set("y", 1).expect_err("set").to_string());
+        let unknown = sim.signal_slot("zz").expect_err("unknown");
+        assert!(matches!(unknown, SimError::UnknownSignal(_)), "{unknown:?}");
+        assert_eq!(unknown.to_string(), sim.get("zz").expect_err("get").to_string());
+        let unknown_input = sim.input_slot("zz").expect_err("unknown input");
+        assert_eq!(unknown_input.to_string(), sim.set("zz", 1).expect_err("set").to_string());
+        let input = sim.input_slot("a").expect("input");
+        assert_eq!(sim.signal_slot("a").map(|s| sim.get_slot(s)), sim.get("a"));
+        sim.set_slot(input, 1).expect("drive");
+        assert_eq!(sim.get("y").expect("get").as_u64(), 1);
+    }
     assert_eq!(c.inputs(), r.inputs());
     assert_eq!(c.outputs(), r.outputs());
 }
@@ -437,6 +492,8 @@ mod random_stimulus {
         assert!(cd.is_compiled(), "{top} should engage the VM");
         let mut c = cd.instantiate().expect("inst compiled");
         let mut r = rd.instantiate().expect("inst reference");
+        let mut c_slots = cd.instantiate().expect("inst compiled");
+        let mut r_slots = rd.instantiate().expect("inst reference");
         let mut state = seed | 1;
         for step in 0..40 {
             for (name, mask) in inputs {
@@ -447,10 +504,16 @@ mod random_stimulus {
                 let v = state & mask;
                 c.set(name, v).expect("compiled set");
                 r.set(name, v).expect("reference set");
+                for sim in [&mut c_slots, &mut r_slots] {
+                    super::step_by_slot(sim, &super::Set(name, v)).expect("set_slot");
+                }
             }
             if let Some(clk) = clk {
                 c.clock(clk).expect("compiled clock");
                 r.clock(clk).expect("reference clock");
+                for sim in [&mut c_slots, &mut r_slots] {
+                    super::step_by_slot(sim, &super::Clock(clk)).expect("clock_slot");
+                }
             }
             for out in rd.instantiate().expect("inst").outputs() {
                 assert_eq!(
@@ -459,6 +522,8 @@ mod random_stimulus {
                     "`{out}` diverges at step {step} (seed {seed})"
                 );
             }
+            super::assert_slot_reads_agree(&c, &c_slots, &format!("step {step} (seed {seed})"));
+            super::assert_slot_reads_agree(&r, &r_slots, &format!("step {step} (seed {seed})"));
         }
     }
 

@@ -14,6 +14,7 @@
 use super::elab::{elaborate, ElabError};
 use super::resolve::{RArm, RExpr, RLValue, RStmt, ResolvedDesign, SigRef};
 use super::value::Value;
+use super::{resolve_input, resolve_signal, InputSlot, SignalSlot};
 use crate::ast::{BinaryOp, Edge, SourceFile, UnaryOp};
 use crate::parser::{parse, ParseError};
 use std::error::Error;
@@ -175,40 +176,59 @@ impl Simulator {
         }
     }
 
+    /// Resolves a top-level input for [`Simulator::set_slot`].
+    ///
+    /// # Errors
+    ///
+    /// The error [`Simulator::set`] gives for `name`: `NotAnInput` or
+    /// `UnknownSignal`.
+    pub fn input_slot(&self, name: &str) -> Result<InputSlot, SimError> {
+        resolve_input(&self.res.inputs, &self.res.names, name)
+    }
+
+    /// Resolves a signal for [`Simulator::get_slot`].
+    ///
+    /// # Errors
+    ///
+    /// The error [`Simulator::get`] gives for `name`: `UnknownSignal`.
+    pub fn signal_slot(&self, name: &str) -> Result<SignalSlot, SimError> {
+        resolve_signal(&self.res.names, name)
+    }
+
+    /// Reads a resolved signal's current value.
+    pub fn get_slot(&self, slot: SignalSlot) -> Value {
+        self.slots[slot.0 as usize].value
+    }
+
+    /// Drives a resolved input and propagates the change (combinational
+    /// settle plus any edge-sensitive blocks triggered by the transition).
+    ///
+    /// # Errors
+    ///
+    /// Fails on oscillating logic and runaway loops.
+    pub fn set_slot(&mut self, slot: InputSlot, value: u64) -> Result<(), SimError> {
+        let idx = slot.0 as usize;
+        let w = self.slots[idx].width;
+        self.slots[idx].value = Value::new(value, w);
+        self.propagate()
+    }
+
     /// Reads a signal's current value.
     ///
     /// # Errors
     ///
     /// Fails when `name` is not a signal of the flattened design.
     pub fn get(&self, name: &str) -> Result<Value, SimError> {
-        let i = self
-            .res
-            .names
-            .get(name)
-            .copied()
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        Ok(self.slots[i as usize].value)
+        Ok(self.get_slot(self.signal_slot(name)?))
     }
 
-    /// Drives a top-level input and propagates the change (combinational
-    /// settle plus any edge-sensitive blocks triggered by the transition).
+    /// Drives a top-level input and propagates the change.
     ///
     /// # Errors
     ///
     /// Fails on unknown/non-input signals and on oscillating logic.
     pub fn set(&mut self, name: &str, value: u64) -> Result<(), SimError> {
-        if !self.res.inputs.iter().any(|i| i == name) {
-            return Err(SimError::NotAnInput(name.to_owned()));
-        }
-        let idx = self
-            .res
-            .names
-            .get(name)
-            .copied()
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))? as usize;
-        let w = self.slots[idx].width;
-        self.slots[idx].value = Value::new(value, w);
-        self.propagate()
+        self.set_slot(self.input_slot(name)?, value)
     }
 
     /// Applies one full clock cycle (falling then rising edge) to `clk`.
@@ -217,8 +237,9 @@ impl Simulator {
     ///
     /// Same failure modes as [`Simulator::set`].
     pub fn clock(&mut self, clk: &str) -> Result<(), SimError> {
-        self.set(clk, 0)?;
-        self.set(clk, 1)
+        let clk = self.input_slot(clk)?;
+        self.set_slot(clk, 0)?;
+        self.set_slot(clk, 1)
     }
 
     /// Settles combinational logic and fires edge blocks until quiescent.

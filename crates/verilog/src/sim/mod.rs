@@ -89,8 +89,40 @@ use crate::parser::parse;
 use bytecode::Program;
 use resolve::ResolvedDesign;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+
+/// A top-level input resolved once by `input_slot`, then driven with
+/// `set_slot` without a name lookup.
+///
+/// A slot is only meaningful for instances of the design it was resolved
+/// on (either backend: both number signals the same way).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InputSlot(u32);
+
+/// A signal resolved once by `signal_slot`, then read with `get_slot`
+/// without a name lookup. Same validity rule as [`InputSlot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SignalSlot(u32);
+
+/// The one input-resolution rule both backends share: `set`'s
+/// historical checks, in its order.
+fn resolve_input(
+    inputs: &[String],
+    names: &HashMap<String, u32>,
+    name: &str,
+) -> Result<InputSlot, SimError> {
+    if !inputs.iter().any(|i| i == name) {
+        return Err(SimError::NotAnInput(name.to_owned()));
+    }
+    resolve_signal(names, name).map(|s| InputSlot(s.0))
+}
+
+/// The one signal-resolution rule both backends share.
+fn resolve_signal(names: &HashMap<String, u32>, name: &str) -> Result<SignalSlot, SimError> {
+    names.get(name).map(|&i| SignalSlot(i)).ok_or_else(|| SimError::UnknownSignal(name.to_owned()))
+}
 
 /// Which simulation backend scores testbench vectors.
 ///
@@ -234,16 +266,69 @@ impl SimInstance {
         }
     }
 
+    /// Resolves a top-level input for [`SimInstance::set_slot`].
+    ///
+    /// # Errors
+    ///
+    /// The error [`SimInstance::set`] gives for `name`: `NotAnInput` or
+    /// `UnknownSignal`.
+    pub fn input_slot(&self, name: &str) -> Result<InputSlot, SimError> {
+        match self {
+            SimInstance::Reference(s) => s.input_slot(name),
+            SimInstance::Compiled(s) => s.input_slot(name),
+        }
+    }
+
+    /// Resolves a signal for [`SimInstance::get_slot`].
+    ///
+    /// # Errors
+    ///
+    /// The error [`SimInstance::get`] gives for `name`: `UnknownSignal`.
+    pub fn signal_slot(&self, name: &str) -> Result<SignalSlot, SimError> {
+        match self {
+            SimInstance::Reference(s) => s.signal_slot(name),
+            SimInstance::Compiled(s) => s.signal_slot(name),
+        }
+    }
+
+    /// Reads a resolved signal's current value.
+    pub fn get_slot(&self, slot: SignalSlot) -> Value {
+        match self {
+            SimInstance::Reference(s) => s.get_slot(slot),
+            SimInstance::Compiled(s) => s.get_slot(slot),
+        }
+    }
+
+    /// Drives a resolved input and propagates the change.
+    ///
+    /// # Errors
+    ///
+    /// Fails on oscillating logic and runaway loops.
+    pub fn set_slot(&mut self, slot: InputSlot, value: u64) -> Result<(), SimError> {
+        match self {
+            SimInstance::Reference(s) => s.set_slot(slot, value),
+            SimInstance::Compiled(s) => s.set_slot(slot, value),
+        }
+    }
+
+    /// Applies one full clock cycle (falling then rising edge) to a
+    /// resolved input.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`SimInstance::set_slot`].
+    pub fn clock_slot(&mut self, clk: InputSlot) -> Result<(), SimError> {
+        self.set_slot(clk, 0)?;
+        self.set_slot(clk, 1)
+    }
+
     /// Reads a signal's current value.
     ///
     /// # Errors
     ///
     /// Fails when `name` is not a signal of the flattened design.
     pub fn get(&self, name: &str) -> Result<Value, SimError> {
-        match self {
-            SimInstance::Reference(s) => s.get(name),
-            SimInstance::Compiled(s) => s.get(name),
-        }
+        Ok(self.get_slot(self.signal_slot(name)?))
     }
 
     /// Drives a top-level input and propagates the change.
@@ -252,10 +337,7 @@ impl SimInstance {
     ///
     /// Fails on unknown/non-input signals and on oscillating logic.
     pub fn set(&mut self, name: &str, value: u64) -> Result<(), SimError> {
-        match self {
-            SimInstance::Reference(s) => s.set(name, value),
-            SimInstance::Compiled(s) => s.set(name, value),
-        }
+        self.set_slot(self.input_slot(name)?, value)
     }
 
     /// Applies one full clock cycle (falling then rising edge) to `clk`.
@@ -264,9 +346,6 @@ impl SimInstance {
     ///
     /// Same failure modes as [`SimInstance::set`].
     pub fn clock(&mut self, clk: &str) -> Result<(), SimError> {
-        match self {
-            SimInstance::Reference(s) => s.clock(clk),
-            SimInstance::Compiled(s) => s.clock(clk),
-        }
+        self.clock_slot(self.input_slot(clk)?)
     }
 }

@@ -40,16 +40,16 @@ impl ExhaustiveSweep {
         self.total
     }
 
-    /// Splits one counter value into per-input field values.
-    fn decode(&self, index: u64) -> Vec<u64> {
-        let mut values = Vec::with_capacity(self.widths.len());
+    /// Writes assignment `index` (its per-input field values) into `out`,
+    /// replacing what it held, so a caller can sweep through one buffer.
+    pub fn decode_into(&self, index: u64, out: &mut Vec<u64>) {
+        out.clear();
         let mut rest = index;
         for w in &self.widths {
             let mask = if *w >= 64 { u64::MAX } else { (1u64 << w) - 1 };
-            values.push(rest & mask);
+            out.push(rest & mask);
             rest = if *w >= 64 { 0 } else { rest >> w };
         }
-        values
     }
 }
 
@@ -60,7 +60,8 @@ impl Iterator for ExhaustiveSweep {
         if self.next >= self.total {
             return None;
         }
-        let values = self.decode(self.next);
+        let mut values = Vec::with_capacity(self.widths.len());
+        self.decode_into(self.next, &mut values);
         self.next += 1;
         Some(values)
     }
@@ -109,6 +110,16 @@ mod tests {
     fn zero_inputs_yield_the_single_empty_assignment() {
         let sweep = exhaustive_assignments(&[], 16).unwrap();
         assert_eq!(sweep.collect::<Vec<_>>(), vec![Vec::<u64>::new()]);
+    }
+
+    #[test]
+    fn decode_into_matches_the_iterator_through_one_buffer() {
+        let sweep = exhaustive_assignments(&[3, 2, 1], 16).unwrap();
+        let mut buf = vec![99; 7];
+        for (index, values) in sweep.clone().enumerate() {
+            sweep.decode_into(index as u64, &mut buf);
+            assert_eq!(buf, values);
+        }
     }
 
     #[test]

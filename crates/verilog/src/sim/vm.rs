@@ -1,15 +1,17 @@
 //! The stack VM executing compiled simulation programs.
 //!
 //! State is pre-sized at construction (slot values, the flat memory-word
-//! arena, the evaluation stack, the non-blocking queue, and the two settle
-//! snapshots); running stimulus vectors allocates nothing in the steady
-//! state. The settle/fire scheduling loop is a line-for-line mirror of the
-//! reference engine's — only expression evaluation is different, running
-//! the pre-compiled op stream instead of walking the AST.
+//! arena, the evaluation stack, the non-blocking queue, the fired-block
+//! list, and the two settle snapshots); running stimulus vectors allocates
+//! nothing in the steady state. The settle/fire scheduling loop is a
+//! line-for-line mirror of the reference engine's — only expression
+//! evaluation is different, running the pre-compiled op stream instead of
+//! walking the AST.
 
 use super::bytecode::{CodeRange, Op, Program};
 use super::engine::{SimError, MAX_EDGE_ROUNDS, MAX_SETTLE, STMT_BUDGET};
 use super::value::Value;
+use super::{resolve_input, resolve_signal, InputSlot, SignalSlot};
 use crate::ast::{BinaryOp, Edge, UnaryOp};
 use std::fmt;
 use std::sync::Arc;
@@ -25,6 +27,8 @@ pub struct CompiledSimulator {
     edge_prev: Vec<bool>,
     stack: Vec<Value>,
     nb: Vec<(u32, Value)>,
+    /// Edge blocks triggered in the current round (reused across rounds).
+    fired: Vec<usize>,
     /// End-of-previous-settle-iteration state; the fixpoint test compares
     /// against it and refreshes it in one fused pass.
     state_prev: Vec<u64>,
@@ -63,17 +67,18 @@ impl CompiledSimulator {
             edge_prev,
             stack: Vec::with_capacity(16),
             nb: Vec::new(),
+            fired: Vec::new(),
             state_prev: vec![0u64; state_len],
             poisoned: false,
             prog,
         };
-        let init = sim.prog.clone();
-        for (i, v) in &init.init {
-            let w = init.slots[*i as usize].width;
+        let prog = Arc::clone(&sim.prog);
+        for (i, v) in &prog.init {
+            let w = prog.slots[*i as usize].width;
             sim.values[*i as usize] = Value::new(*v, w);
         }
-        sim.settle_comb()?;
-        sim.snapshot_edges();
+        sim.settle_comb(&prog)?;
+        sim.snapshot_edges(&prog);
         Ok(sim)
     }
 
@@ -87,38 +92,39 @@ impl CompiledSimulator {
         &self.prog.outputs
     }
 
-    /// Reads a signal's current value.
+    /// Resolves a top-level input for [`CompiledSimulator::set_slot`].
     ///
     /// # Errors
     ///
-    /// Fails when `name` is not a signal of the flattened design.
-    pub fn get(&self, name: &str) -> Result<Value, SimError> {
-        let i = self
-            .prog
-            .names
-            .get(name)
-            .copied()
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))?;
-        Ok(self.values[i as usize])
+    /// The error [`CompiledSimulator::set`] gives for `name`:
+    /// `NotAnInput` or `UnknownSignal`.
+    pub fn input_slot(&self, name: &str) -> Result<InputSlot, SimError> {
+        resolve_input(&self.prog.inputs, &self.prog.names, name)
     }
 
-    /// Drives a top-level input and propagates the change.
+    /// Resolves a signal for [`CompiledSimulator::get_slot`].
     ///
     /// # Errors
     ///
-    /// Fails on unknown/non-input signals and on oscillating logic.
-    pub fn set(&mut self, name: &str, value: u64) -> Result<(), SimError> {
-        if !self.prog.inputs.iter().any(|i| i == name) {
-            return Err(SimError::NotAnInput(name.to_owned()));
-        }
-        let i = self
-            .prog
-            .names
-            .get(name)
-            .copied()
-            .ok_or_else(|| SimError::UnknownSignal(name.to_owned()))? as usize;
-        let w = self.prog.slots[i].width;
-        let v = Value::new(value, w);
+    /// The error [`CompiledSimulator::get`] gives for `name`:
+    /// `UnknownSignal`.
+    pub fn signal_slot(&self, name: &str) -> Result<SignalSlot, SimError> {
+        resolve_signal(&self.prog.names, name)
+    }
+
+    /// Reads a resolved signal's current value.
+    pub fn get_slot(&self, slot: SignalSlot) -> Value {
+        self.values[slot.0 as usize]
+    }
+
+    /// Drives a resolved input and propagates the change.
+    ///
+    /// # Errors
+    ///
+    /// Fails on oscillating logic and runaway loops.
+    pub fn set_slot(&mut self, slot: InputSlot, value: u64) -> Result<(), SimError> {
+        let i = slot.0 as usize;
+        let v = Value::new(value, self.prog.slots[i].width);
         // Unchanged input on settled, never-errored state: propagation is
         // a guaranteed no-op (the state is already at fixpoint), so skip
         // it. The reference engine reaches the same state the long way.
@@ -129,28 +135,49 @@ impl CompiledSimulator {
         self.propagate()
     }
 
+    /// Reads a signal's current value.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `name` is not a signal of the flattened design.
+    pub fn get(&self, name: &str) -> Result<Value, SimError> {
+        Ok(self.get_slot(self.signal_slot(name)?))
+    }
+
+    /// Drives a top-level input and propagates the change.
+    ///
+    /// # Errors
+    ///
+    /// Fails on unknown/non-input signals and on oscillating logic.
+    pub fn set(&mut self, name: &str, value: u64) -> Result<(), SimError> {
+        self.set_slot(self.input_slot(name)?, value)
+    }
+
     /// Applies one full clock cycle (falling then rising edge) to `clk`.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`CompiledSimulator::set`].
     pub fn clock(&mut self, clk: &str) -> Result<(), SimError> {
-        self.set(clk, 0)?;
-        self.set(clk, 1)
+        let clk = self.input_slot(clk)?;
+        self.set_slot(clk, 0)?;
+        self.set_slot(clk, 1)
     }
 
     fn propagate(&mut self) -> Result<(), SimError> {
-        let r = self.propagate_inner();
+        // One program handle per propagation, lent to every stage.
+        let prog = Arc::clone(&self.prog);
+        let r = self.propagate_inner(&prog);
         if r.is_err() {
             self.poisoned = true;
         }
         r
     }
 
-    fn propagate_inner(&mut self) -> Result<(), SimError> {
+    fn propagate_inner(&mut self, prog: &Program) -> Result<(), SimError> {
         for _ in 0..MAX_EDGE_ROUNDS {
-            self.settle_comb()?;
-            let fired = self.fire_edges()?;
+            self.settle_comb(prog)?;
+            let fired = self.fire_edges(prog)?;
             if !fired {
                 return Ok(());
             }
@@ -158,8 +185,7 @@ impl CompiledSimulator {
         Err(SimError::Oscillation)
     }
 
-    fn settle_comb(&mut self) -> Result<(), SimError> {
-        let prog = self.prog.clone();
+    fn settle_comb(&mut self, prog: &Program) -> Result<(), SimError> {
         // Fixed schedule: the compiler proved one topologically ordered
         // pass reaches the fixpoint, so skip the iterate-and-compare loop
         // (and its full-state captures) entirely.
@@ -168,9 +194,9 @@ impl CompiledSimulator {
                 self.stack.clear();
                 self.nb.clear();
                 let mut budget = STMT_BUDGET;
-                self.run_unit(&prog, *unit, &mut budget)?;
+                self.run_unit(prog, *unit, &mut budget)?;
                 if !self.nb.is_empty() {
-                    self.commit_nb(&prog)?;
+                    self.commit_nb(prog)?;
                 }
             }
             return Ok(());
@@ -179,13 +205,13 @@ impl CompiledSimulator {
         for _ in 0..MAX_SETTLE {
             self.stack.clear();
             let mut budget = STMT_BUDGET; // assigns carry no budget ops
-            self.run_unit(&prog, prog.assigns, &mut budget)?;
+            self.run_unit(prog, prog.assigns, &mut budget)?;
             for unit in &prog.comb {
                 self.stack.clear();
                 self.nb.clear();
                 let mut budget = STMT_BUDGET;
-                self.run_unit(&prog, *unit, &mut budget)?;
-                self.commit_nb(&prog)?;
+                self.run_unit(prog, *unit, &mut budget)?;
+                self.commit_nb(prog)?;
             }
             if self.settled_and_refresh() {
                 return Ok(());
@@ -218,16 +244,15 @@ impl CompiledSimulator {
         same
     }
 
-    fn snapshot_edges(&mut self) {
-        let prog = self.prog.clone();
+    fn snapshot_edges(&mut self, prog: &Program) {
         for (i, slot) in prog.edge_sigs.iter().enumerate() {
             self.edge_prev[i] = slot.map(|s| self.values[s as usize].bit_at(0)).unwrap_or(false);
         }
     }
 
-    fn fire_edges(&mut self) -> Result<bool, SimError> {
-        let prog = self.prog.clone();
-        let mut to_run: Vec<usize> = Vec::new();
+    fn fire_edges(&mut self, prog: &Program) -> Result<bool, SimError> {
+        let mut to_run = std::mem::take(&mut self.fired);
+        to_run.clear();
         for (i, blk) in prog.edges.iter().enumerate() {
             let triggered = blk.triggers.iter().any(|(edge, sig)| {
                 let prev = self.edge_prev[*sig as usize];
@@ -243,17 +268,22 @@ impl CompiledSimulator {
                 to_run.push(i);
             }
         }
-        self.snapshot_edges();
+        self.snapshot_edges(prog);
         if to_run.is_empty() {
+            self.fired = to_run;
             return Ok(false);
         }
         self.nb.clear();
-        for i in to_run {
+        let ran = to_run.iter().try_for_each(|&i| {
             self.stack.clear();
             let mut budget = STMT_BUDGET;
-            self.run_unit(&prog, prog.edges[i].code, &mut budget)?;
-        }
-        self.commit_nb(&prog)?;
+            self.run_unit(prog, prog.edges[i].code, &mut budget)
+        });
+        // Hand the buffer back before any error returns, so the next
+        // round reuses it.
+        self.fired = to_run;
+        ran?;
+        self.commit_nb(prog)?;
         Ok(true)
     }
 
