@@ -72,7 +72,7 @@ const USAGE: &str = "pyranet — PyraNet dataset toolchain\n\n\
      pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]\n  \
     \x20            [--threads T] [--seed S] [--kernel reference|blocked|int8]\n  \
     \x20            [--sim compiled|reference] [--check stimulus|equivalence]\n  \
-    \x20            [--max-eq-inputs N] [--files N] [--epochs E] [--json OUT]\n  \
+    \x20            [--max-eq-inputs N<=20] [--files N] [--epochs E] [--json OUT]\n  \
      pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]\n  \
     \x20            [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]\n  \
     \x20            [--kernel reference|blocked|int8] [--files N] [--epochs E]\n  \
@@ -474,7 +474,9 @@ fn trained_cli_model(
 }
 
 fn cmd_eval(args: &[String]) -> Result<(), String> {
-    use pyranet::eval::{evaluate, human_split, machine_split, CheckStrategy, EvalOptions};
+    use pyranet::eval::{
+        evaluate, human_split, machine_split, CheckStrategy, EvalOptions, MAX_EQ_INPUTS_LIMIT,
+    };
 
     let mut split = "machine".to_owned();
     let mut files = 300usize;
@@ -496,7 +498,15 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
             "--kernel" => opts.kernel = flags.parse()?,
             "--sim" => opts.sim = flags.parse()?,
             "--check" => opts.check = flags.parse()?,
-            "--max-eq-inputs" => max_eq_inputs = Some(flags.parse()?),
+            "--max-eq-inputs" => {
+                let bits = flags.parse()?;
+                if bits > MAX_EQ_INPUTS_LIMIT {
+                    return Err(format!(
+                        "bad --max-eq-inputs `{bits}`: at most {MAX_EQ_INPUTS_LIMIT} input bits"
+                    ));
+                }
+                max_eq_inputs = Some(bits);
+            }
             "--files" => files = flags.parse()?,
             "--epochs" => epochs = flags.parse::<usize>()?.max(1),
             "--json" => json = Some(flags.value()?),
@@ -705,6 +715,7 @@ mod tests {
             // Bad numbers and values; `a=1` is a `sim` positional.
             (&["build-dataset", "--files", "many"], "--files"),
             (&["eval", "--max-eq-inputs", "12x"], "--max-eq-inputs"),
+            (&["eval", "--max-eq-inputs", "21"], "--max-eq-inputs"),
             (&["serve", "--max-batch", "0.5"], "--max-batch"),
             (&["train", "--kernel", "simd"], "--kernel"),
             (&["sim", "m.v", "top", "a=1", "--cycles", "x"], "--cycles"),

@@ -6,10 +6,8 @@ use pyranet_model::{ModelConfig, Tokenizer, TransformerLm};
 use pyranet_pipeline::PyraNetDataset;
 use pyranet_train::ablation::{CurriculumOnly, WeightingOnly};
 use pyranet_train::baselines::{MgVerilog, OriGen, RtlCoder};
-use pyranet_train::pretrain::{budget_for, pretrain_cached};
-use pyranet_train::{
-    ExampleCache, PyraNetTrainer, RepairTrainer, SftTrainer, TrainConfig, TrainReport,
-};
+use pyranet_train::pretrain::{budget_for, pretrain};
+use pyranet_train::{PyraNetTrainer, RepairTrainer, SftTrainer, TrainConfig, TrainReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -99,18 +97,13 @@ pub struct RecipeRun {
     pub report: TrainReport,
 }
 
-/// The experiment context: a dataset, the shared tokenizer, and a cache of
-/// tokenized training examples reused across every recipe run.
+/// The experiment context: a dataset and the shared tokenizer.
 #[derive(Debug, Clone)]
 pub struct Experiment {
     /// The curated dataset.
     pub dataset: PyraNetDataset,
     /// Tokenizer covering the dataset and both eval splits.
     pub tokenizer: Tokenizer,
-    /// Tokenized-example cache shared by pretraining and all recipes. Keys
-    /// include a content hash, so label-shuffled (Erroneous) runs never see
-    /// stale encodings.
-    pub example_cache: ExampleCache,
 }
 
 impl Experiment {
@@ -131,7 +124,7 @@ impl Experiment {
             }
             Tokenizer::build(texts, 1)
         };
-        Experiment { dataset, tokenizer, example_cache: ExampleCache::new() }
+        Experiment { dataset, tokenizer }
     }
 
     /// Pretrains a fresh base model (the "released checkpoint" step) on the
@@ -142,14 +135,7 @@ impl Experiment {
         // Generic corpus: a shuffled sample across all layers (the web is
         // not curated), disjoint seed from fine-tuning.
         let budget = budget_for(&cfg.name);
-        pretrain_cached(
-            &mut lm,
-            &self.tokenizer,
-            &self.dataset,
-            budget,
-            &opts.train,
-            &self.example_cache,
-        );
+        pretrain(&mut lm, &self.tokenizer, &self.dataset, budget, &opts.train);
         lm
     }
 
@@ -157,38 +143,25 @@ impl Experiment {
     pub fn run(&self, base: &TransformerLm, recipe: Recipe, opts: &ExperimentOptions) -> RecipeRun {
         let mut model = base.clone();
         let tk = &self.tokenizer;
-        let cache = &self.example_cache;
         let report = match recipe {
             Recipe::Baseline => TrainReport::new("baseline (no fine-tuning)"),
-            Recipe::PyraNetDataset => {
-                SftTrainer::run_cached(&mut model, tk, &self.dataset, &opts.train, cache)
-            }
+            Recipe::PyraNetDataset => SftTrainer::run(&mut model, tk, &self.dataset, &opts.train),
             Recipe::PyraNetArchitecture => {
-                PyraNetTrainer::run_cached(&mut model, tk, &self.dataset, &opts.train, cache)
+                PyraNetTrainer::run(&mut model, tk, &self.dataset, &opts.train)
             }
-            Recipe::MgVerilog => {
-                MgVerilog::run_cached(&mut model, tk, &self.dataset, &opts.train, cache)
-            }
-            Recipe::RtlCoder => {
-                RtlCoder::default().run_cached(&mut model, tk, &self.dataset, &opts.train, cache)
-            }
-            Recipe::OriGen => {
-                OriGen::default().run_cached(&mut model, tk, &self.dataset, &opts.train, cache)
-            }
+            Recipe::MgVerilog => MgVerilog::run(&mut model, tk, &self.dataset, &opts.train),
+            Recipe::RtlCoder => RtlCoder::default().run(&mut model, tk, &self.dataset, &opts.train),
+            Recipe::OriGen => OriGen::default().run(&mut model, tk, &self.dataset, &opts.train),
             Recipe::Erroneous => {
                 let mut rng = ChaCha8Rng::seed_from_u64(opts.train.seed ^ 0xBAD);
                 let shuffled = pyranet_pipeline::erroneous::shuffle_labels(&self.dataset, &mut rng);
-                SftTrainer::run_cached(&mut model, tk, &shuffled, &opts.train, cache)
+                SftTrainer::run(&mut model, tk, &shuffled, &opts.train)
             }
-            Recipe::WeightingOnly => {
-                WeightingOnly::run_cached(&mut model, tk, &self.dataset, &opts.train, cache)
-            }
+            Recipe::WeightingOnly => WeightingOnly::run(&mut model, tk, &self.dataset, &opts.train),
             Recipe::CurriculumOnly => {
-                CurriculumOnly::run_cached(&mut model, tk, &self.dataset, &opts.train, cache)
+                CurriculumOnly::run(&mut model, tk, &self.dataset, &opts.train)
             }
-            Recipe::Repair => {
-                RepairTrainer::run_cached(&mut model, tk, &self.dataset, &opts.train, cache)
-            }
+            Recipe::Repair => RepairTrainer::run(&mut model, tk, &self.dataset, &opts.train),
         };
         RecipeRun { name: format!("{} {}", base.cfg.name, recipe.label()), model, report }
     }

@@ -32,5 +32,5 @@ pub use problems::{human_split, machine_split, Problem, Split};
 pub use pyranet_verilog::SimMode;
 pub use testbench::{
     check_functional, check_functional_with, CheckStrategy, FunctionalVerdict, ProblemBench,
-    SimStats, DEFAULT_MAX_EQ_INPUTS,
+    SimStats, DEFAULT_MAX_EQ_INPUTS, MAX_EQ_INPUTS_LIMIT,
 };

@@ -23,7 +23,7 @@
 use pyranet_corpus::families::{Category, DesignFamily};
 use pyranet_corpus::gen::generate;
 use pyranet_corpus::style::StyleOptions;
-use pyranet_verilog::ast::{const_width, PortDir};
+use pyranet_verilog::ast::{const_width, PortDir, SourceFile};
 use pyranet_verilog::sim::{
     exhaustive_assignments, ExhaustiveSweep, InputSlot, SignalSlot, SimError,
 };
@@ -84,6 +84,12 @@ pub enum CheckStrategy {
 /// check then simulates only the candidate — milliseconds on the bytecode
 /// VM.
 pub const DEFAULT_MAX_EQ_INPUTS: u32 = 12;
+
+/// Largest input-bit cap `eval --max-eq-inputs` accepts: 2^20 assignments,
+/// so a golden trace holds at most 128 KiB per output bit. It sits above
+/// the 16-bit cap of perfbench's `score` workload; a larger cap would let
+/// one flag value ask for gigabytes of trace.
+pub const MAX_EQ_INPUTS_LIMIT: u32 = 20;
 
 impl std::str::FromStr for CheckStrategy {
     type Err = String;
@@ -162,8 +168,7 @@ fn is_reset_name(n: &str) -> bool {
     n == "rst" || n == "reset" || n == "rst_n" || n.ends_with("_rst") || n.starts_with("rst_")
 }
 
-fn classify(src: &str, sequential: bool) -> Result<(Interface, String), String> {
-    let file = parse(src).map_err(|e| e.to_string())?;
+fn classify(file: &SourceFile, sequential: bool) -> Result<(Interface, String), String> {
     let module = file.modules.first().ok_or("no module")?;
     let mut iface = Interface { clock: None, reset: None, inputs: Vec::new(), outputs: Vec::new() };
     for p in &module.ports {
@@ -191,11 +196,10 @@ fn classify(src: &str, sequential: bool) -> Result<(Interface, String), String> 
 /// candidate's interface and top module name.
 fn match_interface(
     gold: &Interface,
-    candidate_src: &str,
+    candidate: &SourceFile,
     sequential: bool,
 ) -> Result<(Interface, String), FunctionalVerdict> {
-    let (cand, top) =
-        classify(candidate_src, sequential).map_err(FunctionalVerdict::BuildFailure)?;
+    let (cand, top) = classify(candidate, sequential).map_err(FunctionalVerdict::BuildFailure)?;
     let mismatch = |m: String| Err(FunctionalVerdict::InterfaceMismatch(m));
     if cand.inputs.len() != gold.inputs.len() {
         return mismatch(format!(
@@ -225,16 +229,16 @@ fn match_interface(
     Ok((cand, top))
 }
 
-/// Builds and instantiates a candidate, counting its program and compile
-/// time.
+/// Builds and instantiates a parsed candidate, counting its program and
+/// compile time.
 fn build_candidate(
-    src: &str,
+    file: &SourceFile,
     top: &str,
     mode: SimMode,
     stats: &mut SimStats,
 ) -> Result<SimInstance, FunctionalVerdict> {
     let started = Instant::now();
-    let design = SimDesign::build(src, top, mode);
+    let design = SimDesign::from_file(file, top, mode);
     stats.compile_time += started.elapsed();
     let design = design.map_err(|e| FunctionalVerdict::BuildFailure(e.to_string()))?;
     stats.programs += 1;
@@ -527,11 +531,12 @@ impl ProblemBench {
     ) -> ProblemBench {
         let mut stats = SimStats::default();
         let started = Instant::now();
-        let prep = match classify(golden_src, sequential) {
-            Ok((gold_iface, gold_top)) => {
+        let file = parse(golden_src).map_err(|e| e.to_string());
+        let prep = match file.and_then(|f| classify(&f, sequential).map(|c| (f, c))) {
+            Ok((file, (gold_iface, gold_top))) => {
                 let widths: Vec<u32> = gold_iface.inputs.iter().map(|(_, w)| *w).collect();
                 let plan = Plan::new(check, sequential, &widths);
-                let golden = SimDesign::build(golden_src, &gold_top, mode)
+                let golden = SimDesign::from_file(&file, &gold_top, mode)
                     .map_err(|e| e.to_string())
                     .and_then(|design| {
                         stats.programs += 1;
@@ -556,16 +561,24 @@ impl ProblemBench {
             Ok(p) => p,
             Err(v) => return v.clone(),
         };
-        let (cand_iface, cand_top) =
-            match match_interface(&prep.gold_iface, candidate_src, self.sequential) {
-                Ok(x) => x,
-                Err(v) => return v,
-            };
+        // The one parse of the candidate, timed with its build.
+        let started = Instant::now();
+        let file = parse(candidate_src);
+        self.stats.compile_time += started.elapsed();
+        let file = match file {
+            Ok(f) => f,
+            Err(e) => return FunctionalVerdict::BuildFailure(e.to_string()),
+        };
+        let matched = match_interface(&prep.gold_iface, &file, self.sequential);
+        let (cand_iface, cand_top) = match matched {
+            Ok(x) => x,
+            Err(v) => return v,
+        };
         let golden = match &mut prep.golden {
             Ok(g) => g,
             Err(e) => return FunctionalVerdict::BuildFailure(format!("golden: {e}")),
         };
-        let mut cand = match build_candidate(candidate_src, &cand_top, self.mode, &mut self.stats) {
+        let mut cand = match build_candidate(&file, &cand_top, self.mode, &mut self.stats) {
             Ok(c) => c,
             Err(v) => return v,
         };
@@ -917,21 +930,27 @@ mod tests {
             strategy: CheckStrategy,
             src: &str,
         ) -> (FunctionalVerdict, u64) {
-            let (gold_iface, gold_top) = match classify(golden_src, sequential) {
-                Ok(x) => x,
-                Err(e) => return (FunctionalVerdict::BuildFailure(format!("golden: {e}")), 0),
+            let gold = parse(golden_src).map_err(|e| e.to_string());
+            let (gold_file, (gold_iface, gold_top)) =
+                match gold.and_then(|f| classify(&f, sequential).map(|c| (f, c))) {
+                    Ok(x) => x,
+                    Err(e) => return (FunctionalVerdict::BuildFailure(format!("golden: {e}")), 0),
+                };
+            let file = match parse(src) {
+                Ok(f) => f,
+                Err(e) => return (FunctionalVerdict::BuildFailure(e.to_string()), 0),
             };
-            let (cand_iface, cand_top) = match match_interface(&gold_iface, src, sequential) {
+            let (cand_iface, cand_top) = match match_interface(&gold_iface, &file, sequential) {
                 Ok(x) => x,
                 Err(v) => return (v, 0),
             };
             let golden =
-                SimDesign::build(golden_src, &gold_top, mode).and_then(|d| d.instantiate());
+                SimDesign::from_file(&gold_file, &gold_top, mode).and_then(|d| d.instantiate());
             let mut gold = match golden {
                 Ok(g) => g,
                 Err(e) => return (FunctionalVerdict::BuildFailure(format!("golden: {e}")), 0),
             };
-            let mut cand = match build_candidate(src, &cand_top, mode, &mut SimStats::default()) {
+            let mut cand = match build_candidate(&file, &cand_top, mode, &mut SimStats::default()) {
                 Ok(c) => c,
                 Err(v) => return (v, 0),
             };

@@ -16,9 +16,16 @@
 //!   session's [`KernelMode`] family of [`crate::tensor::kernels`]
 //!   instead of n independent vector-matrix products. Sequences retire
 //!   independently on `<eos>`.
-//! * **Zero per-token allocation.** Effective (LoRA-merged) weights are
-//!   materialised once per session and every intermediate lives in a
+//! * **Scratch reuse.** Effective (LoRA-merged) weights are materialised
+//!   once per session and every `[rows, ·]` intermediate lives in a
 //!   scratch arena that is reused across tokens, samples, and problems.
+//!
+//! Both phases run one layer body, a private forward over rows grouped
+//! by sequence: each row appends its K/V to its own sequence's cache,
+//! then attends over that sequence's prefix followed by that cache up to
+//! its own position. A prefill is one group of n prompt rows over an
+//! empty prefix; a [`DecodeSession::step_seqs`] step is one single-row
+//! group per live sequence. Only each group's last row gets logits.
 //!
 //! # Determinism
 //!
@@ -38,6 +45,10 @@
 //! `i32` — still *exactly* reproducible run-to-run (integer addition is
 //! associative), just not bit-identical to the f32 session. Accuracy is
 //! gated by an int8-vs-f32 pass@k parity test in the eval harness.
+//! Activations are quantized per row, so rows stay independent here too:
+//! in every family, a prompt prefilled whole gives the same logits bits
+//! as a shorter prefill stepped on token by token, and a forked batch
+//! gives the same ids as each sequence decoded alone.
 //!
 //! # Prompt clamping
 //!
@@ -54,7 +65,7 @@ use crate::quant::{self, QuantizedMatrix};
 use crate::sampler::{sample_logits_into, SampleOptions};
 use crate::tensor::{gelu_fwd, gelu_fwd_fast, kernels, softmax_row_inplace, KernelMode, Matrix};
 use crate::tokenizer::EOS;
-use crate::transformer::{ln_row_into, vec_mat, DecodeWeights, TransformerLm};
+use crate::transformer::{ln_row_into, DecodeWeights, TransformerLm};
 use rand::Rng;
 
 /// Explicit context-window plan for one prompt: what survives, what is
@@ -128,14 +139,26 @@ impl Generation {
     }
 }
 
+/// Per-layer keys and values, `len * d` floats per layer.
+#[derive(Debug, Clone)]
+struct KvCache {
+    k: Vec<Vec<f32>>,
+    v: Vec<Vec<f32>>,
+}
+
+impl KvCache {
+    /// An empty cache: one unallocated buffer per layer.
+    fn new(n_layers: usize) -> KvCache {
+        KvCache { k: vec![Vec::new(); n_layers], v: vec![Vec::new(); n_layers] }
+    }
+}
+
 /// Snapshot of the KV cache after prefilling one prompt. Forked sequences
 /// borrow this (read-only) and append only their own suffix.
 #[derive(Debug, Clone)]
 pub struct PrefixState {
-    /// Per-layer keys, `len * d` floats each.
-    kcache: Vec<Vec<f32>>,
-    /// Per-layer values, `len * d` floats each.
-    vcache: Vec<Vec<f32>>,
+    /// The prompt's keys and values.
+    cache: KvCache,
     /// Prompt tokens in the cache.
     len: usize,
     /// Logits after the final prompt token (all zeros for an empty
@@ -162,28 +185,6 @@ impl PrefixState {
     }
 }
 
-/// Per-sequence token selection for [`DecodeSession::decode_batch`].
-///
-/// Implemented for every [`Rng`] via [`sample_logits_into`], so a plain
-/// `ChaCha8Rng` is a sampler. `scratch` is the session's reusable weight
-/// buffer — implementations must not assume anything about its contents.
-pub trait TokenSampler {
-    /// Picks the next token id from `logits`.
-    fn next_token(&mut self, logits: &[f32], opts: &SampleOptions, scratch: &mut Vec<f32>)
-        -> usize;
-}
-
-impl<R: Rng> TokenSampler for R {
-    fn next_token(
-        &mut self,
-        logits: &[f32],
-        opts: &SampleOptions,
-        scratch: &mut Vec<f32>,
-    ) -> usize {
-        sample_logits_into(logits, opts, self, scratch)
-    }
-}
-
 /// Scratch arenas reused across tokens, samples, and problems. Buffers
 /// grow to the high-water mark once and never shrink, so steady-state
 /// decoding performs no allocation.
@@ -204,7 +205,7 @@ struct Scratch {
     /// FFN intermediates, `[rows, d_ff]` and `[rows, d]`.
     h1: Matrix,
     h2: Matrix,
-    /// Logit rows, `[rows, vocab]`.
+    /// Logit rows, `[groups, vocab]`.
     logits: Matrix,
     /// Attention score row (one head at a time, up to `max_seq` long).
     scores: Vec<f32>,
@@ -265,8 +266,9 @@ impl QuantWeights {
     }
 }
 
-/// Routes one projection through either the int8 path (when the session
-/// quantized its weights) or the selected f32 kernel family.
+/// `out = a · w` (resized to `a.rows` rows), routed through either the
+/// int8 path (when the session quantized its weights) or the selected f32
+/// kernel family.
 fn project_into(
     mode: KernelMode,
     qw: Option<&QuantizedMatrix>,
@@ -275,6 +277,7 @@ fn project_into(
     out: &mut Matrix,
     xq: &mut Vec<i16>,
 ) {
+    set_rows(out, a.rows);
     match qw {
         Some(qw) => quant::qmatmul_rows_into(a, qw, out, xq),
         None => kernels::matmul_into(mode, a, w, out),
@@ -285,6 +288,14 @@ fn project_into(
 fn set_rows(m: &mut Matrix, rows: usize) {
     m.rows = rows;
     m.data.resize(rows * m.cols, 0.0);
+}
+
+/// Layer-norms every row of `x` into `out` (resized to match).
+fn ln_rows_into(x: &Matrix, out: &mut Matrix) {
+    set_rows(out, x.rows);
+    for (xr, or) in x.data.chunks_exact(x.cols).zip(out.data.chunks_exact_mut(x.cols)) {
+        ln_row_into(xr, or);
+    }
 }
 
 /// Head-size f32 dot product as four explicit partial lanes (`H` must be
@@ -381,6 +392,16 @@ fn attend_row(
     }
 }
 
+/// One sequence's rows in a [`DecodeSession::forward`]: consecutive tokens
+/// from absolute position `pos` on, which append their K/V to `cache` and
+/// attend over `prefix` followed by `cache`.
+struct Group<'a> {
+    ids: &'a [usize],
+    pos: usize,
+    prefix: &'a KvCache,
+    cache: &'a mut KvCache,
+}
+
 /// One live decoding sequence in a (possibly heterogeneous) batch: its
 /// own per-layer KV suffix over a shared prefix, the logits to sample the
 /// next token from, and its absolute position in the context window.
@@ -396,9 +417,9 @@ fn attend_row(
 /// matter which other sequences happen to share its batches.
 #[derive(Debug)]
 pub struct SeqState {
-    /// Own KV suffix, one growing buffer per layer.
-    k: Vec<Vec<f32>>,
-    v: Vec<Vec<f32>>,
+    /// Own KV suffix, one buffer per layer that grows as tokens are
+    /// absorbed.
+    cache: KvCache,
     /// Logits after the last absorbed token (the prefix logits until the
     /// first [`DecodeSession::step_seqs`]).
     logits: Vec<f32>,
@@ -504,126 +525,76 @@ impl<'m> DecodeSession<'m> {
     /// that association).
     pub fn open_seq(&self, prefix: &PrefixState) -> SeqState {
         SeqState {
-            k: (0..self.n_layers).map(|_| Vec::new()).collect(),
-            v: (0..self.n_layers).map(|_| Vec::new()).collect(),
+            cache: KvCache::new(self.n_layers),
             logits: prefix.logits.clone(),
             last: 0,
             pos: prefix.len,
         }
     }
 
-    /// Runs the (clamped) prompt through the model once, as a single
-    /// batched forward over all prompt rows, and snapshots the KV cache.
-    /// `max_new` feeds the [`PromptPlan`] clamp only; it does not decode.
-    ///
-    /// Logits are computed for the final row alone — the legacy loop's
-    /// per-prompt-token logit products were dead work.
-    pub fn prefill(&mut self, prompt: &[usize], max_new: usize) -> PrefixState {
-        let obs = pyranet_obs::global();
-        let span = obs.span("decode.prefill");
-        let plan = PromptPlan::new(prompt.len(), max_new, self.max_seq);
-        let prompt = &prompt[plan.dropped_prompt_tokens..];
-        let n = prompt.len();
-        obs.counter("decode.prefill.tokens").add(n as u64);
+    /// The one transformer forward behind [`DecodeSession::prefill`] and
+    /// [`DecodeSession::step_seqs`]. All groups' rows run as one
+    /// `[rows, d]` batch; within a layer each row appends its K/V to its
+    /// group's cache, then attends over the group's prefix followed by
+    /// that cache up to its own position. Leaves the logits of each
+    /// group's last row in `scratch.logits`, one row per group.
+    fn forward(&mut self, groups: &mut [Group<'_>]) {
         let (d, nh, hs, scale) = (self.d, self.nh, self.hs, self.scale);
-        let mut kcache: Vec<Vec<f32>> = (0..self.n_layers).map(|_| vec![0.0; n * d]).collect();
-        let mut vcache: Vec<Vec<f32>> = (0..self.n_layers).map(|_| vec![0.0; n * d]).collect();
-        if n == 0 {
-            return PrefixState {
-                kcache,
-                vcache,
-                len: 0,
-                logits: vec![0.0; self.vocab],
-                dropped_prompt_tokens: plan.dropped_prompt_tokens,
-            };
-        }
-
+        let (mode, qw, w) = (self.kernels, self.quant.as_ref(), &self.w);
         let sc = &mut self.scratch;
+        let n = groups.iter().map(|g| g.ids.len()).sum();
         set_rows(&mut sc.x, n);
-        for (t, &id) in prompt.iter().enumerate() {
+        let tokens = groups.iter().flat_map(|g| g.ids.iter().zip(g.pos..));
+        for (r, (&id, t)) in tokens.enumerate() {
+            debug_assert!(t < self.max_seq, "token outside the context window");
             for c in 0..d {
-                sc.x.data[t * d + c] = self.w.tok.data[id * d + c] + self.w.pos.data[t * d + c];
+                sc.x.data[r * d + c] = w.tok.data[id * d + c] + w.pos.data[t * d + c];
             }
         }
         for li in 0..self.n_layers {
-            set_rows(&mut sc.xn, n);
-            for t in 0..n {
-                ln_row_into(&sc.x.data[t * d..(t + 1) * d], &mut sc.xn.data[t * d..(t + 1) * d]);
-            }
-            set_rows(&mut sc.q, n);
-            set_rows(&mut sc.k, n);
-            set_rows(&mut sc.v, n);
-            let qw = self.quant.as_ref();
-            let mode = self.kernels;
-            project_into(
-                mode,
-                qw.map(|q| &q.wq[li]),
-                &sc.xn,
-                &self.w.wq[li],
-                &mut sc.q,
-                &mut sc.xq,
-            );
-            project_into(
-                mode,
-                qw.map(|q| &q.wk[li]),
-                &sc.xn,
-                &self.w.wk[li],
-                &mut sc.k,
-                &mut sc.xq,
-            );
-            project_into(
-                mode,
-                qw.map(|q| &q.wv[li]),
-                &sc.xn,
-                &self.w.wv[li],
-                &mut sc.v,
-                &mut sc.xq,
-            );
-            kcache[li].copy_from_slice(&sc.k.data);
-            vcache[li].copy_from_slice(&sc.v.data);
+            ln_rows_into(&sc.x, &mut sc.xn);
+            project_into(mode, qw.map(|q| &q.wq[li]), &sc.xn, &w.wq[li], &mut sc.q, &mut sc.xq);
+            project_into(mode, qw.map(|q| &q.wk[li]), &sc.xn, &w.wk[li], &mut sc.k, &mut sc.xq);
+            project_into(mode, qw.map(|q| &q.wv[li]), &sc.xn, &w.wv[li], &mut sc.v, &mut sc.xq);
             set_rows(&mut sc.merged, n);
-            for t in 0..n {
-                // Row t attends causally over cache entries 0..=t.
-                attend_row(
-                    &sc.q.data[t * d..(t + 1) * d],
-                    &mut sc.merged.data[t * d..(t + 1) * d],
-                    &[],
-                    &[],
-                    &kcache[li][..(t + 1) * d],
-                    &vcache[li][..(t + 1) * d],
-                    d,
-                    nh,
-                    hs,
-                    scale,
-                    &mut sc.scores,
-                    qw.is_some(),
-                );
+            let mut r = 0;
+            for g in groups.iter_mut() {
+                let (own_k, own_v) = (&mut g.cache.k[li], &mut g.cache.v[li]);
+                own_k.extend_from_slice(&sc.k.data[r * d..(r + g.ids.len()) * d]);
+                own_v.extend_from_slice(&sc.v.data[r * d..(r + g.ids.len()) * d]);
+                let mut end = own_k.len() - g.ids.len() * d;
+                for _ in g.ids {
+                    end += d;
+                    attend_row(
+                        &sc.q.data[r * d..(r + 1) * d],
+                        &mut sc.merged.data[r * d..(r + 1) * d],
+                        &g.prefix.k[li],
+                        &g.prefix.v[li],
+                        &own_k[..end],
+                        &own_v[..end],
+                        d,
+                        nh,
+                        hs,
+                        scale,
+                        &mut sc.scores,
+                        qw.is_some(),
+                    );
+                    r += 1;
+                }
             }
-            set_rows(&mut sc.proj, n);
             project_into(
                 mode,
                 qw.map(|q| &q.wo[li]),
                 &sc.merged,
-                &self.w.wo[li],
+                &w.wo[li],
                 &mut sc.proj,
                 &mut sc.xq,
             );
             for (xv, pv) in sc.x.data.iter_mut().zip(&sc.proj.data) {
                 *xv += pv;
             }
-            set_rows(&mut sc.xn, n);
-            for t in 0..n {
-                ln_row_into(&sc.x.data[t * d..(t + 1) * d], &mut sc.xn.data[t * d..(t + 1) * d]);
-            }
-            set_rows(&mut sc.h1, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.w1[li]),
-                &sc.xn,
-                &self.w.w1[li],
-                &mut sc.h1,
-                &mut sc.xq,
-            );
+            ln_rows_into(&sc.x, &mut sc.xn);
+            project_into(mode, qw.map(|q| &q.w1[li]), &sc.xn, &w.w1[li], &mut sc.h1, &mut sc.xq);
             // Int8 sessions take the polynomial gelu too — same
             // reproducible-not-bit-identical contract as their matmuls.
             if qw.is_some() {
@@ -635,43 +606,41 @@ impl<'m> DecodeSession<'m> {
                     *vx = gelu_fwd(*vx);
                 }
             }
-            set_rows(&mut sc.h2, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.w2[li]),
-                &sc.h1,
-                &self.w.w2[li],
-                &mut sc.h2,
-                &mut sc.xq,
-            );
+            project_into(mode, qw.map(|q| &q.w2[li]), &sc.h1, &w.w2[li], &mut sc.h2, &mut sc.xq);
             for (xv, pv) in sc.x.data.iter_mut().zip(&sc.h2.data) {
                 *xv += pv;
             }
         }
-        // Logits for the final row only.
-        let mut last_ln = vec![0.0f32; d];
-        ln_row_into(&sc.x.data[(n - 1) * d..n * d], &mut last_ln);
-        let logits = match &self.quant {
-            Some(qw) => {
-                let mut out = vec![0.0f32; self.vocab];
-                let x_scale = quant::quantize_row_into(&last_ln, &mut sc.xq);
-                if x_scale != 0.0 {
-                    quant::qmatvec_into(&sc.xq, x_scale, &qw.head, &mut out);
-                }
-                out
-            }
-            // `vec_mat` accumulates in ascending order, matching every f32
-            // family's forward matmul bit-for-bit.
-            None => vec_mat(&last_ln, self.w.head),
-        };
-        obs.rate_gauge("decode.prefill.tokens_per_sec", n as f64, span.stop().as_secs_f64());
-        PrefixState {
-            kcache,
-            vcache,
-            len: n,
-            logits,
-            dropped_prompt_tokens: plan.dropped_prompt_tokens,
+        // Logits for each group's last row only: a prompt's earlier rows
+        // feed nothing.
+        set_rows(&mut sc.xn, groups.len());
+        let mut end = 0;
+        for (xn_row, g) in sc.xn.data.chunks_exact_mut(d).zip(groups.iter()) {
+            end += g.ids.len() * d;
+            ln_row_into(&sc.x.data[end - d..end], xn_row);
         }
+        project_into(mode, qw.map(|q| &q.head), &sc.xn, w.head, &mut sc.logits, &mut sc.xq);
+    }
+
+    /// Runs the (clamped) prompt through the model once, as a single
+    /// batched forward over all prompt rows, and snapshots the KV cache.
+    /// `max_new` feeds the [`PromptPlan`] clamp only; it does not decode.
+    pub fn prefill(&mut self, prompt: &[usize], max_new: usize) -> PrefixState {
+        let obs = pyranet_obs::global();
+        let span = obs.span("decode.prefill");
+        let plan = PromptPlan::new(prompt.len(), max_new, self.max_seq);
+        let prompt = &prompt[plan.dropped_prompt_tokens..];
+        let n = prompt.len();
+        obs.counter("decode.prefill.tokens").add(n as u64);
+        let mut cache = KvCache::new(self.n_layers);
+        let mut logits = vec![0.0; self.vocab];
+        if n > 0 {
+            let empty = KvCache::new(self.n_layers);
+            self.forward(&mut [Group { ids: prompt, pos: 0, prefix: &empty, cache: &mut cache }]);
+            logits.copy_from_slice(&self.scratch.logits.data);
+            obs.rate_gauge("decode.prefill.tokens_per_sec", n as f64, span.stop().as_secs_f64());
+        }
+        PrefixState { cache, len: n, logits, dropped_prompt_tokens: plan.dropped_prompt_tokens }
     }
 
     /// Decodes one sequence forked from `prefix` (batch of one).
@@ -688,21 +657,22 @@ impl<'m> DecodeSession<'m> {
     }
 
     /// Decodes `opts.len()` sequences forked from `prefix` in lock-step:
-    /// every live sequence samples, then all pending tokens run through
-    /// the model as one `[live, d]` batched forward. Sequences retire
-    /// independently when they sample `<eos>` or exhaust the budget.
+    /// every live sequence samples (sequence `i` with `opts[i]` and
+    /// `rngs[i]`), then all pending tokens run through the model as one
+    /// `[live, d]` batched forward. Sequences retire independently when
+    /// they sample `<eos>` or exhaust the budget.
     ///
     /// Each sequence's ids are bit-identical to decoding it alone from
-    /// the same prefix with the same sampler — batching is a throughput
+    /// the same prefix with the same rng — batching is a throughput
     /// knob, never a semantic one.
-    pub fn decode_batch<S: TokenSampler>(
+    pub fn decode_batch<R: Rng>(
         &mut self,
         prefix: &PrefixState,
         max_new: usize,
         opts: &[SampleOptions],
-        samplers: &mut [S],
+        rngs: &mut [R],
     ) -> Vec<Generation> {
-        assert_eq!(opts.len(), samplers.len(), "one sampler per sequence");
+        assert_eq!(opts.len(), rngs.len(), "one rng per sequence");
         let obs = pyranet_obs::global();
         let span = obs.span("decode.batch");
         let n_seq = opts.len();
@@ -714,14 +684,18 @@ impl<'m> DecodeSession<'m> {
         let mut alive = vec![true; n_seq];
         for step in 0..new_budget {
             // Sample every live sequence (ascending index; each sequence
-            // has its own sampler, so the order is cosmetic).
+            // has its own rng, so the order is cosmetic).
             let mut any_live = false;
             for i in 0..n_seq {
                 if !alive[i] {
                     continue;
                 }
-                let next =
-                    samplers[i].next_token(seqs[i].logits(), &opts[i], &mut self.scratch.sample);
+                let next = sample_logits_into(
+                    seqs[i].logits(),
+                    &opts[i],
+                    &mut rngs[i],
+                    &mut self.scratch.sample,
+                );
                 if next == EOS {
                     alive[i] = false;
                     continue;
@@ -767,141 +741,22 @@ impl<'m> DecodeSession<'m> {
     /// their token budget should simply be left out of the batch — their
     /// final forward would feed nothing.
     pub fn step_seqs(&mut self, rows: &mut [(&mut SeqState, &PrefixState)]) {
-        let n = rows.len();
-        if n == 0 {
+        if rows.is_empty() {
             return;
         }
-        let (d, nh, hs, scale) = (self.d, self.nh, self.hs, self.scale);
-        let sc = &mut self.scratch;
-        set_rows(&mut sc.x, n);
-        for (r, (seq, _)) in rows.iter().enumerate() {
-            let id = seq.last;
-            let t = seq.pos;
-            debug_assert!(t < self.max_seq, "pending token outside the context window");
-            for c in 0..d {
-                sc.x.data[r * d + c] = self.w.tok.data[id * d + c] + self.w.pos.data[t * d + c];
-            }
-        }
-        for li in 0..self.n_layers {
-            set_rows(&mut sc.xn, n);
-            for r in 0..n {
-                ln_row_into(&sc.x.data[r * d..(r + 1) * d], &mut sc.xn.data[r * d..(r + 1) * d]);
-            }
-            set_rows(&mut sc.q, n);
-            set_rows(&mut sc.k, n);
-            set_rows(&mut sc.v, n);
-            let qw = self.quant.as_ref();
-            let mode = self.kernels;
-            project_into(
-                mode,
-                qw.map(|q| &q.wq[li]),
-                &sc.xn,
-                &self.w.wq[li],
-                &mut sc.q,
-                &mut sc.xq,
-            );
-            project_into(
-                mode,
-                qw.map(|q| &q.wk[li]),
-                &sc.xn,
-                &self.w.wk[li],
-                &mut sc.k,
-                &mut sc.xq,
-            );
-            project_into(
-                mode,
-                qw.map(|q| &q.wv[li]),
-                &sc.xn,
-                &self.w.wv[li],
-                &mut sc.v,
-                &mut sc.xq,
-            );
-            for (r, (seq, _)) in rows.iter_mut().enumerate() {
-                seq.k[li].extend_from_slice(&sc.k.data[r * d..(r + 1) * d]);
-                seq.v[li].extend_from_slice(&sc.v.data[r * d..(r + 1) * d]);
-            }
-            set_rows(&mut sc.merged, n);
-            for (r, (seq, prefix)) in rows.iter().enumerate() {
-                attend_row(
-                    &sc.q.data[r * d..(r + 1) * d],
-                    &mut sc.merged.data[r * d..(r + 1) * d],
-                    &prefix.kcache[li],
-                    &prefix.vcache[li],
-                    &seq.k[li],
-                    &seq.v[li],
-                    d,
-                    nh,
-                    hs,
-                    scale,
-                    &mut sc.scores,
-                    qw.is_some(),
-                );
-            }
-            set_rows(&mut sc.proj, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.wo[li]),
-                &sc.merged,
-                &self.w.wo[li],
-                &mut sc.proj,
-                &mut sc.xq,
-            );
-            for (xv, pv) in sc.x.data.iter_mut().zip(&sc.proj.data) {
-                *xv += pv;
-            }
-            set_rows(&mut sc.xn, n);
-            for r in 0..n {
-                ln_row_into(&sc.x.data[r * d..(r + 1) * d], &mut sc.xn.data[r * d..(r + 1) * d]);
-            }
-            set_rows(&mut sc.h1, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.w1[li]),
-                &sc.xn,
-                &self.w.w1[li],
-                &mut sc.h1,
-                &mut sc.xq,
-            );
-            // Int8 sessions take the polynomial gelu too — same
-            // reproducible-not-bit-identical contract as their matmuls.
-            if qw.is_some() {
-                for vx in sc.h1.data.iter_mut() {
-                    *vx = gelu_fwd_fast(*vx);
-                }
-            } else {
-                for vx in sc.h1.data.iter_mut() {
-                    *vx = gelu_fwd(*vx);
-                }
-            }
-            set_rows(&mut sc.h2, n);
-            project_into(
-                mode,
-                qw.map(|q| &q.w2[li]),
-                &sc.h1,
-                &self.w.w2[li],
-                &mut sc.h2,
-                &mut sc.xq,
-            );
-            for (xv, pv) in sc.x.data.iter_mut().zip(&sc.h2.data) {
-                *xv += pv;
-            }
-        }
-        set_rows(&mut sc.xn, n);
-        for r in 0..n {
-            ln_row_into(&sc.x.data[r * d..(r + 1) * d], &mut sc.xn.data[r * d..(r + 1) * d]);
-        }
-        set_rows(&mut sc.logits, n);
-        project_into(
-            self.kernels,
-            self.quant.as_ref().map(|q| &q.head),
-            &sc.xn,
-            self.w.head,
-            &mut sc.logits,
-            &mut sc.xq,
-        );
-        let vocab = self.vocab;
-        for (r, (seq, _)) in rows.iter_mut().enumerate() {
-            seq.logits.copy_from_slice(&sc.logits.data[r * vocab..(r + 1) * vocab]);
+        let mut groups: Vec<Group<'_>> = rows
+            .iter_mut()
+            .map(|(seq, prefix)| Group {
+                ids: std::slice::from_ref(&seq.last),
+                pos: seq.pos,
+                prefix: &prefix.cache,
+                cache: &mut seq.cache,
+            })
+            .collect();
+        self.forward(&mut groups);
+        let logits = self.scratch.logits.data.chunks_exact(self.vocab);
+        for ((seq, _), row) in rows.iter_mut().zip(logits) {
+            seq.logits.copy_from_slice(row);
             seq.pos += 1;
         }
     }

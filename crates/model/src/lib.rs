@@ -44,7 +44,7 @@ pub mod transformer;
 
 pub use adam::Adam;
 pub use config::ModelConfig;
-pub use decode::{DecodeSession, Generation, PrefixState, PromptPlan, TokenSampler};
+pub use decode::{DecodeSession, Generation, PrefixState, PromptPlan};
 pub use sampler::SampleOptions;
 pub use tensor::KernelMode;
 pub use tokenizer::Tokenizer;

@@ -9,6 +9,8 @@
 //! * a sequence forked from a shared prefix ≡ the same sequence decoded
 //!   from its own fresh prefill;
 //! * a batch of sequences ≡ the same sequences decoded one at a time;
+//! * in every kernel family, a whole-prompt prefill ≡ a shorter prefill
+//!   stepped on token by token (logits compared bit for bit);
 //! * LoRA-attached models decode identically through the pre-merged path;
 //! * over-long prompts (the legacy empty-completion bug) now keep the
 //!   prompt tail and produce a real, reported-as-truncated completion.
@@ -123,7 +125,8 @@ proptest! {
     /// An int8 session is *not* bit-identical to f32 (quantization
     /// perturbs the logits; parity is gated at the pass@k level), but it
     /// is exactly reproducible — i32 accumulation has no ordering
-    /// freedom — and it honours the same budget/EOS contract.
+    /// freedom — it honours the same budget/EOS contract, and a forked
+    /// batch is bit-identical to each sequence decoded alone.
     #[test]
     fn int8_session_is_deterministic_and_respects_budget(
         model_seed in 0u64..300,
@@ -131,6 +134,7 @@ proptest! {
         prompt_len in 0usize..40,
         max_new in 1usize..20,
         rng_seed in 0u64..1_000,
+        n in 1usize..5,
     ) {
         let lm = model(model_seed, 1 + (model_seed as usize % 2), 48);
         let prompt = prompt_from(prompt_seed, prompt_len);
@@ -146,6 +150,53 @@ proptest! {
         prop_assert_eq!(&a, &b, "int8 decode must be exactly reproducible");
         prop_assert!(a.ids.len() <= max_new.min(48 - prompt.len().min(48)));
         prop_assert!(a.ids.iter().all(|&id| id < VOCAB), "ids within vocab");
+
+        let opts: Vec<SampleOptions> = (0..n)
+            .map(|i| SampleOptions { temperature: 0.3 + 0.4 * i as f32, top_k: 0 })
+            .collect();
+        let rng = |i: usize| ChaCha8Rng::seed_from_u64(rng_seed ^ (i as u64) << 32);
+        let batched = {
+            let mut session = DecodeSession::new_with(&lm, KernelMode::QuantizedInt8);
+            let prefix = session.prefill(&prompt, max_new);
+            let mut rngs: Vec<ChaCha8Rng> = (0..n).map(rng).collect();
+            session.decode_batch(&prefix, max_new, &opts, &mut rngs)
+        };
+        for (i, expect) in batched.iter().enumerate() {
+            let mut session = DecodeSession::new_with(&lm, KernelMode::QuantizedInt8);
+            let prefix = session.prefill(&prompt, max_new);
+            let alone = session.decode_one(&prefix, max_new, &opts[i], &mut rng(i));
+            prop_assert_eq!(&alone, expect, "sequence {}", i);
+        }
+    }
+
+    /// In every kernel family, prefilling a whole prompt gives the same
+    /// logits, bit for bit, as prefilling a head of it and stepping the
+    /// rest through `step_seqs` one token at a time: a prompt row and a
+    /// decode row run the same forward.
+    #[test]
+    fn split_prefill_matches_whole_prefill_in_every_family(
+        model_seed in 0u64..300,
+        prompt_seed in 0u64..300,
+        prompt_len in 1usize..40,
+        split in 0usize..40,
+    ) {
+        let lm = model(model_seed, 1 + (model_seed as usize % 2), 48);
+        let prompt = prompt_from(prompt_seed, prompt_len);
+        let k = split % (prompt_len + 1);
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for mode in [KernelMode::Reference, KernelMode::Blocked, KernelMode::QuantizedInt8] {
+            let mut session = DecodeSession::new_with(&lm, mode);
+            let whole = session.prefill(&prompt, 0);
+            let expect = bits(session.open_seq(&whole).logits());
+            let head = session.prefill(&prompt[..k], 0);
+            let mut seq = session.open_seq(&head);
+            for &id in &prompt[k..] {
+                seq.push_token(id);
+                session.step_seqs(&mut [(&mut seq, &head)]);
+            }
+            prop_assert_eq!(seq.pos(), prompt_len);
+            prop_assert_eq!(bits(seq.logits()), expect, "{:?}, split at {}", mode, k);
+        }
     }
 
     /// LoRA-attached models route through the pre-merged `Cow` weights;

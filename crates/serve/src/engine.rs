@@ -17,10 +17,10 @@ use std::time::Instant;
 
 use pyranet_exec::{par_map_ref, stream_seed_str, ExecConfig};
 use pyranet_model::decode::SeqState;
+use pyranet_model::sampler::sample_logits_into;
 use pyranet_model::tokenizer::EOS;
 use pyranet_model::{
-    DecodeSession, KernelMode, PrefixState, PromptPlan, SampleOptions, TokenSampler, Tokenizer,
-    TransformerLm,
+    DecodeSession, KernelMode, PrefixState, PromptPlan, SampleOptions, Tokenizer, TransformerLm,
 };
 use pyranet_obs::{DEPTH_BUCKETS, DURATION_BUCKETS};
 use rand::SeedableRng;
@@ -282,7 +282,12 @@ impl<'m> ServeEngine<'m> {
         // Sample one token per live sequence off its current logits.
         let mut emitted = 0u64;
         for slot in &mut self.slots {
-            let next = slot.rng.next_token(slot.seq.logits(), &slot.opts, &mut self.sample_buf);
+            let next = sample_logits_into(
+                slot.seq.logits(),
+                &slot.opts,
+                &mut slot.rng,
+                &mut self.sample_buf,
+            );
             if next == EOS {
                 slot.finish = Finish::Eos;
                 continue;

@@ -6,7 +6,7 @@
 //! * [`CurriculumOnly`] — the layer-then-tier curriculum order, but
 //!   uniform weight 1.0 (no loss weighting).
 
-use crate::data::ExampleCache;
+use crate::data::{to_example, to_examples};
 use crate::report::TrainReport;
 use crate::sft::run_phase_with_order;
 use crate::TrainConfig;
@@ -27,19 +27,8 @@ impl WeightingOnly {
         dataset: &PyraNetDataset,
         cfg: &TrainConfig,
     ) -> TrainReport {
-        Self::run_cached(lm, tk, dataset, cfg, &ExampleCache::new())
-    }
-
-    /// [`WeightingOnly::run`] reusing a shared tokenized-example cache.
-    pub fn run_cached(
-        lm: &mut TransformerLm,
-        tk: &Tokenizer,
-        dataset: &PyraNetDataset,
-        cfg: &TrainConfig,
-        cache: &ExampleCache,
-    ) -> TrainReport {
         let mut examples: Vec<TrainExample> =
-            dataset.iter().map(|s| cache.example(s, tk, s.layer.loss_weight() as f32)).collect();
+            dataset.iter().map(|s| to_example(s, tk, s.layer.loss_weight() as f32)).collect();
         let mut report = TrainReport::new("ablation: loss weighting only");
         run_phase_with_order(lm, &mut examples, cfg, "weighting-only", 1.0, &mut report, true);
         report
@@ -59,19 +48,7 @@ impl CurriculumOnly {
         dataset: &PyraNetDataset,
         cfg: &TrainConfig,
     ) -> TrainReport {
-        Self::run_cached(lm, tk, dataset, cfg, &ExampleCache::new())
-    }
-
-    /// [`CurriculumOnly::run`] reusing a shared tokenized-example cache.
-    pub fn run_cached(
-        lm: &mut TransformerLm,
-        tk: &Tokenizer,
-        dataset: &PyraNetDataset,
-        cfg: &TrainConfig,
-        cache: &ExampleCache,
-    ) -> TrainReport {
-        let mut examples: Vec<TrainExample> =
-            dataset.curriculum().iter().map(|s| cache.example(s, tk, 1.0)).collect();
+        let mut examples = to_examples(dataset.curriculum(), tk, 1.0);
         let mut report = TrainReport::new("ablation: curriculum only");
         run_phase_with_order(lm, &mut examples, cfg, "curriculum-only", 1.0, &mut report, false);
         report
@@ -81,20 +58,10 @@ impl CurriculumOnly {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{build_tokenizer, prompt_text};
+    use crate::data::build_tokenizer;
     use pyranet_corpus::CorpusBuilder;
     use pyranet_model::ModelConfig;
     use pyranet_pipeline::Pipeline;
-
-    fn example_for(
-        s: &pyranet_pipeline::CuratedSample,
-        tk: &Tokenizer,
-        weight: f32,
-    ) -> TrainExample {
-        let prompt = prompt_text(&s.description, &s.source);
-        let (ids, code_start) = tk.encode_pair(&prompt, &s.source);
-        TrainExample { ids, code_start, weight }
-    }
 
     fn setup() -> (PyraNetDataset, Tokenizer, TransformerLm) {
         let pool = CorpusBuilder::new(25).scraped_files(150).build();
@@ -118,7 +85,7 @@ mod tests {
     fn weighting_only_carries_layer_weights() {
         let (ds, tk, _) = setup();
         let examples: Vec<TrainExample> =
-            ds.iter().map(|s| example_for(s, &tk, s.layer.loss_weight() as f32)).collect();
+            ds.iter().map(|s| to_example(s, &tk, s.layer.loss_weight() as f32)).collect();
         let weights: std::collections::HashSet<u32> =
             examples.iter().map(|e| (e.weight * 10.0) as u32).collect();
         assert!(weights.len() >= 2, "multiple distinct weights expected: {weights:?}");
@@ -139,8 +106,7 @@ mod tests {
     fn curriculum_only_preserves_order() {
         let (ds, tk, _) = setup();
         // example weights are all 1.0 and order follows the curriculum
-        let examples: Vec<TrainExample> =
-            ds.curriculum().iter().map(|s| example_for(s, &tk, 1.0)).collect();
+        let examples: Vec<TrainExample> = to_examples(ds.curriculum(), &tk, 1.0);
         assert!(examples.iter().all(|e| (e.weight - 1.0).abs() < 1e-6));
         assert_eq!(examples.len(), ds.len());
     }

@@ -13,7 +13,7 @@
 //!   trained under a re-rendered (pretty-printed) variant of its code; the
 //!   self-reflection loop is omitted, as it is in the paper's comparison.
 
-use crate::data::{prompt_text, to_examples_cached, ExampleCache};
+use crate::data::{prompt_text, to_example, to_examples};
 use crate::report::TrainReport;
 use crate::sft::run_phase;
 use crate::TrainConfig;
@@ -33,22 +33,10 @@ impl MgVerilog {
         dataset: &PyraNetDataset,
         cfg: &TrainConfig,
     ) -> TrainReport {
-        Self::run_cached(lm, tk, dataset, cfg, &ExampleCache::new())
-    }
-
-    /// [`MgVerilog::run`] reusing a shared tokenized-example cache for the
-    /// fine-grained encodings (the coarse variants are recipe-local).
-    pub fn run_cached(
-        lm: &mut TransformerLm,
-        tk: &Tokenizer,
-        dataset: &PyraNetDataset,
-        cfg: &TrainConfig,
-        cache: &ExampleCache,
-    ) -> TrainReport {
         let mut examples: Vec<TrainExample> = Vec::new();
         for s in dataset.iter() {
             // fine-grained description (as curated)
-            examples.push(cache.example(s, tk, 1.0));
+            examples.push(to_example(s, tk, 1.0));
             // coarse-grained summary: first clause of the description
             let coarse: String =
                 s.description.split(&[',', '.'][..]).next().unwrap_or("").to_owned();
@@ -85,23 +73,9 @@ impl RtlCoder {
         dataset: &PyraNetDataset,
         cfg: &TrainConfig,
     ) -> TrainReport {
-        self.run_cached(lm, tk, dataset, cfg, &ExampleCache::new())
-    }
-
-    /// [`RtlCoder::run`] reusing a shared tokenized-example cache.
-    pub fn run_cached(
-        &self,
-        lm: &mut TransformerLm,
-        tk: &Tokenizer,
-        dataset: &PyraNetDataset,
-        cfg: &TrainConfig,
-        cache: &ExampleCache,
-    ) -> TrainReport {
-        let kept: Vec<_> = dataset
-            .iter()
-            .filter(|s| s.rank.value() >= self.min_rank && !s.dependency_issue)
-            .collect();
-        let mut examples = to_examples_cached(kept.iter().copied(), tk, 1.0, cache);
+        let kept =
+            dataset.iter().filter(|s| s.rank.value() >= self.min_rank && !s.dependency_issue);
+        let mut examples = to_examples(kept, tk, 1.0);
         let mut report = TrainReport::new("RTLCoder (quality-feedback SFT)");
         run_phase(lm, &mut examples, cfg, "rtlcoder", 1.0, &mut report);
         report
@@ -132,26 +106,14 @@ impl OriGen {
         dataset: &PyraNetDataset,
         cfg: &TrainConfig,
     ) -> TrainReport {
-        self.run_cached(lm, tk, dataset, cfg, &ExampleCache::new())
-    }
-
-    /// [`OriGen::run`] reusing a shared tokenized-example cache for the
-    /// primary encodings (the re-rendered variants are recipe-local).
-    pub fn run_cached(
-        &self,
-        lm: &mut TransformerLm,
-        tk: &Tokenizer,
-        dataset: &PyraNetDataset,
-        cfg: &TrainConfig,
-        cache: &ExampleCache,
-    ) -> TrainReport {
         let mut examples: Vec<TrainExample> = Vec::new();
         for s in dataset.iter() {
             if s.rank.value() < self.min_rank || s.dependency_issue {
                 continue;
             }
-            examples.push(cache.example(s, tk, 1.0));
             let prompt = prompt_text(&s.description, &s.source);
+            let (ids, code_start) = tk.encode_pair(&prompt, &s.source);
+            examples.push(TrainExample { ids, code_start, weight: 1.0 });
             // code-to-code augmentation: canonical pretty-printed variant
             if let Ok(module) = pyranet_verilog::parse_module(&s.source) {
                 let rendered = pyranet_verilog::pretty::print_module(&module);

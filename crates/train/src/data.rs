@@ -1,6 +1,5 @@
 //! Dataset → training-example conversion.
 
-use pyranet_exec::Fnv64;
 use pyranet_model::transformer::TrainExample;
 use pyranet_model::Tokenizer;
 use pyranet_pipeline::CuratedSample;
@@ -29,99 +28,20 @@ where
     Tokenizer::build(texts, 1)
 }
 
+/// Converts one curated sample into a training example at loss `weight`.
+pub(crate) fn to_example(s: &CuratedSample, tk: &Tokenizer, weight: f32) -> TrainExample {
+    let prompt = prompt_text(&s.description, &s.source);
+    let (ids, code_start) = tk.encode_pair(&prompt, &s.source);
+    TrainExample { ids, code_start, weight }
+}
+
 /// Converts curated samples into training examples with a uniform loss
 /// `weight`.
 pub fn to_examples<'s, I>(samples: I, tk: &Tokenizer, weight: f32) -> Vec<TrainExample>
 where
     I: IntoIterator<Item = &'s CuratedSample>,
 {
-    samples
-        .into_iter()
-        .map(|s| {
-            let prompt = prompt_text(&s.description, &s.source);
-            let (ids, code_start) = tk.encode_pair(&prompt, &s.source);
-            TrainExample { ids, code_start, weight }
-        })
-        .collect()
-}
-
-/// Memoizes tokenized `(ids, code_start)` pairs so the same sample
-/// re-encoded across recipes, phases, or epochs is tokenized exactly once
-/// (tokenizing re-parses the Verilog source for the interface line, which
-/// dominates example construction).
-///
-/// Entries are keyed by sample id **and** a content hash of the
-/// (description, source) pair, so datasets with permuted labels (e.g. the
-/// erroneous-dataset ablation) never collide with their clean originals.
-/// Interior locking lets `&self` contexts (e.g. an experiment driver)
-/// share one cache across recipe runs.
-///
-/// One cache must only ever be used with one tokenizer.
-#[derive(Debug, Default)]
-pub struct ExampleCache {
-    entries: parking_lot::Mutex<CacheMap>,
-}
-
-/// (sample id, content hash) → cached `(ids, code_start)` encoding.
-type CacheMap = std::collections::HashMap<(u64, u64), (Vec<usize>, usize)>;
-
-impl ExampleCache {
-    /// An empty cache.
-    pub fn new() -> ExampleCache {
-        ExampleCache::default()
-    }
-
-    /// Number of cached encodings.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
-    }
-
-    fn key(s: &CuratedSample) -> (u64, u64) {
-        // FNV-1a over the text pair; combined with the id this makes
-        // collisions across label-permuted variants practically impossible.
-        let mut h = Fnv64::new();
-        h.write(s.description.as_bytes());
-        h.write(&[0]);
-        h.write(s.source.as_bytes());
-        (s.id, h.finish())
-    }
-
-    /// The training example for `s` at loss `weight`, encoding on miss.
-    pub fn example(&self, s: &CuratedSample, tk: &Tokenizer, weight: f32) -> TrainExample {
-        let key = Self::key(s);
-        if let Some((ids, code_start)) = self.entries.lock().get(&key).cloned() {
-            return TrainExample { ids, code_start, weight };
-        }
-        let prompt = prompt_text(&s.description, &s.source);
-        let (ids, code_start) = tk.encode_pair(&prompt, &s.source);
-        self.entries.lock().insert(key, (ids.clone(), code_start));
-        TrainExample { ids, code_start, weight }
-    }
-}
-
-impl Clone for ExampleCache {
-    fn clone(&self) -> Self {
-        ExampleCache { entries: parking_lot::Mutex::new(self.entries.lock().clone()) }
-    }
-}
-
-/// [`to_examples`] through an [`ExampleCache`]: identical output, but
-/// repeated conversions of the same samples skip re-encoding.
-pub fn to_examples_cached<'s, I>(
-    samples: I,
-    tk: &Tokenizer,
-    weight: f32,
-    cache: &ExampleCache,
-) -> Vec<TrainExample>
-where
-    I: IntoIterator<Item = &'s CuratedSample>,
-{
-    samples.into_iter().map(|s| cache.example(s, tk, weight)).collect()
+    samples.into_iter().map(|s| to_example(s, tk, weight)).collect()
 }
 
 /// Streams a sharded dataset export (see `pyranet_pipeline::persist`)
@@ -146,26 +66,6 @@ pub fn to_examples_from_shards(
     let mut out = Vec::with_capacity(stream.manifest().total_samples as usize);
     while let Some(shard) = stream.next_shard() {
         out.extend(to_examples(shard?.iter(), tk, weight));
-    }
-    Ok(out)
-}
-
-/// [`to_examples_from_shards`] through an [`ExampleCache`]: identical
-/// output, shard-at-a-time memory, re-encoding skipped on cache hits.
-///
-/// # Errors
-///
-/// Manifest/shard I/O failures and integrity mismatches.
-pub fn to_examples_from_shards_cached(
-    dir: &std::path::Path,
-    tk: &Tokenizer,
-    weight: f32,
-    cache: &ExampleCache,
-) -> std::io::Result<Vec<TrainExample>> {
-    let mut stream = pyranet_pipeline::ShardStream::open(dir)?;
-    let mut out = Vec::with_capacity(stream.manifest().total_samples as usize);
-    while let Some(shard) = stream.next_shard() {
-        out.extend(to_examples_cached(shard?.iter(), tk, weight, cache));
     }
     Ok(out)
 }
@@ -219,39 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_examples_match_uncached_and_encode_once() {
-        let samples: Vec<CuratedSample> = (0..6).map(sample).collect();
-        let tk = build_tokenizer(samples.iter());
-        let cache = ExampleCache::new();
-        let direct = to_examples(samples.iter(), &tk, 0.6);
-        let cached = to_examples_cached(samples.iter(), &tk, 0.6, &cache);
-        assert_eq!(direct, cached);
-        assert_eq!(cache.len(), 6);
-        // Re-converting at another weight reuses every entry and only
-        // restamps the weight.
-        let reweighted = to_examples_cached(samples.iter(), &tk, 1.0, &cache);
-        assert_eq!(cache.len(), 6, "no new encodings on the second pass");
-        assert_eq!(reweighted[0].ids, direct[0].ids);
-        assert!((reweighted[0].weight - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cache_distinguishes_permuted_labels() {
-        let samples: Vec<CuratedSample> = (0..2).map(sample).collect();
-        let tk = build_tokenizer(samples.iter());
-        let cache = ExampleCache::new();
-        let _ = to_examples_cached(samples.iter(), &tk, 1.0, &cache);
-        let mut swapped = samples.clone();
-        let d0 = swapped[0].description.clone();
-        swapped[0].description = swapped[1].description.clone();
-        swapped[1].description = d0;
-        let from_cache = to_examples_cached(swapped.iter(), &tk, 1.0, &cache);
-        let direct = to_examples(swapped.iter(), &tk, 1.0);
-        assert_eq!(from_cache, direct, "permuted labels must not hit stale entries");
-        assert_eq!(cache.len(), 4, "swapped pairs are distinct cache entries");
-    }
-
-    #[test]
     fn sharded_streaming_matches_materialized_examples() {
         use pyranet_pipeline::{PyraNetDataset, ShardSpec};
         let samples: Vec<CuratedSample> = (0..25).map(sample).collect();
@@ -262,10 +129,6 @@ mod tests {
         let direct = to_examples(samples.iter(), &tk, 0.8);
         let streamed = to_examples_from_shards(&dir, &tk, 0.8).unwrap();
         assert_eq!(direct, streamed);
-        let cache = ExampleCache::new();
-        let streamed_cached = to_examples_from_shards_cached(&dir, &tk, 0.8, &cache).unwrap();
-        assert_eq!(direct, streamed_cached);
-        assert_eq!(cache.len(), samples.len());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -32,7 +32,7 @@ pub mod repair;
 pub mod report;
 pub mod sft;
 
-pub use data::{build_tokenizer, to_examples, to_examples_cached, ExampleCache};
+pub use data::{build_tokenizer, to_examples};
 pub use pyranet::PyraNetTrainer;
 pub use repair::{export_repair_jsonl, repair_pairs, RepairPair, RepairTrainer};
 pub use report::{PhaseReport, TrainReport};

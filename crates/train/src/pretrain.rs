@@ -7,7 +7,7 @@
 //! base's Table I baseline strength: more budget ⇒ stronger baseline, which
 //! preserves the 7B < 13B < DeepSeek ordering.
 
-use crate::data::{shuffle_examples, to_examples_cached, ExampleCache};
+use crate::data::{shuffle_examples, to_examples};
 use crate::TrainConfig;
 use pyranet_exec::ExecConfig;
 use pyranet_model::{Adam, Tokenizer, TransformerLm};
@@ -42,19 +42,7 @@ pub fn pretrain(
     budget: PretrainBudget,
     cfg: &TrainConfig,
 ) -> f32 {
-    pretrain_cached(lm, tk, generic, budget, cfg, &ExampleCache::new())
-}
-
-/// [`pretrain`] reusing a shared tokenized-example cache.
-pub fn pretrain_cached(
-    lm: &mut TransformerLm,
-    tk: &Tokenizer,
-    generic: &PyraNetDataset,
-    budget: PretrainBudget,
-    cfg: &TrainConfig,
-    cache: &ExampleCache,
-) -> f32 {
-    let mut examples = to_examples_cached(generic.iter(), tk, 1.0, cache);
+    let mut examples = to_examples(generic.iter(), tk, 1.0);
     shuffle_examples(&mut examples, lm.cfg.seed);
     examples.truncate(budget.pairs);
     let exec = ExecConfig::new().threads(cfg.threads);
@@ -73,7 +61,7 @@ pub fn pretrain_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{build_tokenizer, to_examples};
+    use crate::data::build_tokenizer;
     use pyranet_corpus::CorpusBuilder;
     use pyranet_model::ModelConfig;
     use pyranet_pipeline::Pipeline;

@@ -9,7 +9,7 @@
 //! the fine-tuning progresses downward through the dataset" — with loss
 //! weights 1.0, 0.8, 0.6, 0.4, 0.2, 0.1 per layer (Fig. 1-b).
 
-use crate::data::{to_examples_cached, ExampleCache};
+use crate::data::to_examples;
 use crate::report::TrainReport;
 use crate::sft::run_phase;
 use crate::TrainConfig;
@@ -31,25 +31,12 @@ impl PyraNetTrainer {
         dataset: &PyraNetDataset,
         cfg: &TrainConfig,
     ) -> TrainReport {
-        Self::run_cached(lm, tk, dataset, cfg, &ExampleCache::new())
-    }
-
-    /// [`PyraNetTrainer::run`] reusing a shared tokenized-example cache.
-    pub fn run_cached(
-        lm: &mut TransformerLm,
-        tk: &Tokenizer,
-        dataset: &PyraNetDataset,
-        cfg: &TrainConfig,
-        cache: &ExampleCache,
-    ) -> TrainReport {
         let mut report = TrainReport::new("PyraNet-Architecture");
         for layer in Layer::ALL {
             let weight = layer.loss_weight();
             for tier in ComplexityTier::ALL {
-                let group: Vec<_> =
-                    dataset.iter().filter(|s| s.layer == layer && s.tier == tier).collect();
-                let mut examples =
-                    to_examples_cached(group.iter().copied(), tk, weight as f32, cache);
+                let group = dataset.iter().filter(|s| s.layer == layer && s.tier == tier);
+                let mut examples = to_examples(group, tk, weight as f32);
                 let name = format!("{layer}/{tier}");
                 run_phase(lm, &mut examples, cfg, &name, weight, &mut report);
             }

@@ -9,14 +9,15 @@
 //! carries the hard guarantee `broken != clean` — a pair where the
 //! "defect" is a no-op would teach the model to copy its input.
 
-use crate::data::{to_examples_cached, ExampleCache};
+use crate::data::prompt_text;
 use crate::report::TrainReport;
 use crate::sft::run_phase;
 use crate::TrainConfig;
 use pyranet_corpus::defect;
 use pyranet_exec::stream_seed;
+use pyranet_model::transformer::TrainExample;
 use pyranet_model::{Tokenizer, TransformerLm};
-use pyranet_pipeline::{CuratedSample, PyraNetDataset};
+use pyranet_pipeline::PyraNetDataset;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -124,37 +125,14 @@ impl RepairTrainer {
         dataset: &PyraNetDataset,
         cfg: &TrainConfig,
     ) -> TrainReport {
-        Self::run_cached(lm, tk, dataset, cfg, &ExampleCache::new())
-    }
-
-    /// [`RepairTrainer::run`] reusing a shared tokenized-example cache.
-    ///
-    /// Pairs are fed through the cache as synthetic curated samples whose
-    /// description is the full repair prompt — the cache keys on a content
-    /// hash, so repair encodings never collide with the plain-SFT
-    /// encodings of the same sample ids.
-    pub fn run_cached(
-        lm: &mut TransformerLm,
-        tk: &Tokenizer,
-        dataset: &PyraNetDataset,
-        cfg: &TrainConfig,
-        cache: &ExampleCache,
-    ) -> TrainReport {
-        let pairs = repair_pairs(dataset, cfg.seed);
-        let by_id: std::collections::HashMap<u64, &CuratedSample> =
-            dataset.iter().map(|s| (s.id, s)).collect();
-        let synthetic: Vec<CuratedSample> = pairs
+        let mut examples: Vec<TrainExample> = repair_pairs(dataset, cfg.seed)
             .iter()
             .map(|p| {
-                let base = by_id[&p.id];
-                CuratedSample {
-                    description: repair_prompt(p),
-                    source: p.clean.clone(),
-                    ..base.clone()
-                }
+                let prompt = prompt_text(&repair_prompt(p), &p.clean);
+                let (ids, code_start) = tk.encode_pair(&prompt, &p.clean);
+                TrainExample { ids, code_start, weight: 1.0 }
             })
             .collect();
-        let mut examples = to_examples_cached(synthetic.iter(), tk, 1.0, cache);
         let mut report = TrainReport::new("repair (defect-injected -> clean SFT)");
         run_phase(lm, &mut examples, cfg, "repair", 1.0, &mut report);
         report

@@ -4,7 +4,7 @@
 //! available (data, description) pair from the dataset … the loss weights
 //! were set to 1.0" with random sampling (no curriculum).
 
-use crate::data::{shuffle_examples, to_examples_cached, ExampleCache};
+use crate::data::{shuffle_examples, to_examples};
 use crate::report::{PhaseReport, TrainReport};
 use crate::TrainConfig;
 use pyranet_exec::ExecConfig;
@@ -26,18 +26,7 @@ impl SftTrainer {
         dataset: &PyraNetDataset,
         cfg: &TrainConfig,
     ) -> TrainReport {
-        Self::run_cached(lm, tk, dataset, cfg, &ExampleCache::new())
-    }
-
-    /// [`SftTrainer::run`] reusing a shared tokenized-example cache.
-    pub fn run_cached(
-        lm: &mut TransformerLm,
-        tk: &Tokenizer,
-        dataset: &PyraNetDataset,
-        cfg: &TrainConfig,
-        cache: &ExampleCache,
-    ) -> TrainReport {
-        let mut examples = to_examples_cached(dataset.iter(), tk, 1.0, cache);
+        let mut examples = to_examples(dataset.iter(), tk, 1.0);
         let mut report = TrainReport::new("PyraNet-Dataset (plain SFT)");
         run_phase(lm, &mut examples, cfg, "sft", 1.0, &mut report);
         report
