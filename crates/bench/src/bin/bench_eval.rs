@@ -1,5 +1,7 @@
 //! Inference-engine benchmark: the n-samples-per-problem pass@k workload
-//! timed on both eval paths, written to `BENCH_eval.json`.
+//! timed on both eval paths, written to `BENCH_eval.json` (rows `naive`,
+//! `session`, `session_int8`, each broken down per problem as
+//! `<row>/<problem id>`, and `equivalence`).
 //!
 //! * **naive** — the retained legacy loop: every sample re-merges
 //!   weights, re-prefills the full prompt, and decodes alone.
@@ -19,7 +21,9 @@
 //! speedup is pure engineering, not a semantics change. Tokens/sec counts
 //! *decode* (completion) tokens only, so shared prefill shows up as
 //! faster wall time over the same token count rather than inflating the
-//! numerator.
+//! numerator. The session rows' counts are the engine's own `decode.*`
+//! counters for one pass, cross-checked against the token ids on every
+//! repeat.
 //!
 //! Honours `PYRANET_SCALE` (`quick` for the CI smoke run, `full` default).
 
@@ -30,100 +34,26 @@ use pyranet::eval::{
 };
 use pyranet::model::decode::DecodeSession;
 use pyranet::model::{KernelMode, ModelConfig, SampleOptions, Tokenizer, TransformerLm};
-use pyranet_bench::Scale;
+use pyranet_bench::{best_of, Counters, Report, Row, Scale, Secs};
 use pyranet_exec::stream_seed_str;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
-use std::time::Instant;
 
-#[derive(Serialize)]
-struct PathReport {
-    /// Kernel family the path decoded with.
-    kernel: String,
-    /// Wall seconds (fastest repeat, summed across problems).
-    secs: f64,
-    /// Decode (completion) tokens produced.
+/// The decode paths: row name, session kernel family (`None` for the
+/// legacy loop), baseline row.
+const PATHS: [(&str, Option<KernelMode>, &str); 3] = [
+    ("naive", None, "naive"),
+    ("session", Some(KernelMode::Blocked), "naive"),
+    ("session_int8", Some(KernelMode::QuantizedInt8), "session"),
+];
+
+/// One path's measurement on one problem.
+struct Measured {
+    secs: Secs,
+    /// Decode (completion) tokens across the n samples.
     tokens: u64,
-    /// Decode throughput.
-    tokens_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct PerProblem {
-    /// Problem id.
-    id: String,
-    /// Forced prompt tokens (description + module header).
-    prompt_tokens: u64,
-    /// Completion tokens across the n samples.
-    decode_tokens: u64,
-    /// Fastest naive wall time.
-    naive_secs: f64,
-    /// Fastest session wall time.
-    session_secs: f64,
-    /// Completion tokens across the n samples on the int8 path (may
-    /// differ from `decode_tokens`: quantization perturbs the logits).
-    int8_tokens: u64,
-    /// Fastest int8 session wall time.
-    int8_secs: f64,
-}
-
-#[derive(Serialize)]
-struct EquivalenceReport {
-    /// Problems swept (golden vs golden, so every verdict is Pass).
-    problems: u64,
-    /// Checks that ran the exhaustive input sweep.
-    exhaustive: u64,
-    /// Checks that fell back to stimulus vectors (sequential or over the
-    /// input-bit cap).
-    fallback: u64,
-    /// Total input vectors driven across both backends.
-    vectors: u64,
-    /// Wall seconds (fastest repeat).
-    secs: f64,
-    /// Vector throughput.
-    vectors_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    /// `std::thread::available_parallelism()` on the benchmarking host.
-    host_parallelism: u64,
-    /// Problems in the workload.
-    problems: u64,
-    /// Samples per problem (the pass@k n).
-    samples_per_problem: u64,
-    /// Max new tokens per completion.
-    max_new_tokens: u64,
-    /// Repeats per measurement (fastest wins).
-    repeats: u64,
-    /// Legacy per-sample loop.
-    naive: PathReport,
-    /// Shared-prefill, batched `DecodeSession`.
-    session: PathReport,
-    /// The same session engine with int8-quantized weights.
-    session_int8: PathReport,
-    /// Session decode throughput over naive (same token count, so this
-    /// is also the wall-time ratio).
-    speedup_vs_naive: f64,
-    /// Int8 session decode throughput over the f32 session (tokens/sec
-    /// ratio — the two paths produce different token counts).
-    speedup_int8_vs_session: f64,
-    /// Equivalence-mode functional scoring (`eval --check equivalence`):
-    /// golden designs checked against themselves with the exhaustive
-    /// input sweep, bounded by the default input-bit cap.
-    equivalence: EquivalenceReport,
-    /// Per-problem wall times.
-    per_problem: Vec<PerProblem>,
-}
-
-fn path(kernel: &str, secs: f64, tokens: u64) -> PathReport {
-    PathReport {
-        kernel: kernel.to_owned(),
-        secs,
-        tokens,
-        tokens_per_sec: if secs > 0.0 { tokens as f64 / secs } else { 0.0 },
-    }
+    /// The engine's `decode.*` counters for one pass.
+    engine: Counters,
 }
 
 fn main() {
@@ -152,13 +82,18 @@ fn main() {
         seed: 11,
     };
     let lm = TransformerLm::new(cfg, tk.vocab_size());
+    let mut report = Report::new("eval", scale, repeats);
+    report
+        .param("problems", problems.len())
+        .param("samples_per_problem", n_samples)
+        .param("max_new_tokens", max_new);
 
     // The exact harness workload: header forced as a generation prefix,
     // per-sample temperature cycle, per-sample RNG streams.
     let seed = 0xEA_11u64;
-    let mut per_problem = Vec::new();
-    let (mut naive_secs, mut session_secs, mut int8_secs) = (0.0f64, 0.0f64, 0.0f64);
-    let (mut decode_tokens, mut int8_tokens) = (0u64, 0u64);
+    let tokens = |ids: &[Vec<usize>]| ids.iter().map(|b| b.len() as u64).sum::<u64>();
+    // Per problem: id, prompt tokens, one measurement per path.
+    let mut per_problem: Vec<(String, usize, [Measured; 3])> = Vec::new();
     for problem in &problems {
         let header_ids = tk.encode(&problem.header());
         let mut prompt = tk.encode_prompt(&problem.prompt());
@@ -174,175 +109,134 @@ fn main() {
                 .collect()
         };
 
-        let mut best_naive = f64::INFINITY;
-        let mut naive_out: Vec<Vec<usize>> = Vec::new();
-        for _ in 0..repeats {
+        let naive = best_of(repeats, |clock| {
             let mut rngs = rngs();
-            let start = Instant::now();
-            let out: Vec<Vec<usize>> = sample_opts
-                .iter()
-                .zip(rngs.iter_mut())
-                .map(|(so, rng)| lm.generate_legacy(&prompt, max_new, so, rng))
-                .collect();
-            best_naive = best_naive.min(start.elapsed().as_secs_f64());
-            naive_out = out;
-        }
-
-        let mut best_session = f64::INFINITY;
-        let mut session_out: Vec<Vec<usize>> = Vec::new();
-        for _ in 0..repeats {
-            let mut rngs = rngs();
-            let start = Instant::now();
-            let mut session = DecodeSession::new(&lm);
-            let prefix = session.prefill(&prompt, max_new);
-            let gens = session.decode_batch(&prefix, max_new, &sample_opts, &mut rngs);
-            best_session = best_session.min(start.elapsed().as_secs_f64());
-            session_out = gens.into_iter().map(|g| g.ids).collect();
-        }
-
-        let mut best_int8 = f64::INFINITY;
-        let mut int8_out: Vec<Vec<usize>> = Vec::new();
-        for _ in 0..repeats {
-            let mut rngs = rngs();
-            let start = Instant::now();
-            let mut session = DecodeSession::new_with(&lm, KernelMode::QuantizedInt8);
-            let prefix = session.prefill(&prompt, max_new);
-            let gens = session.decode_batch(&prefix, max_new, &sample_opts, &mut rngs);
-            best_int8 = best_int8.min(start.elapsed().as_secs_f64());
-            int8_out = gens.into_iter().map(|g| g.ids).collect();
-        }
-
-        assert_eq!(session_out, naive_out, "engines diverged on {}", problem.id);
-        let tokens: u64 = naive_out.iter().map(|b| b.len() as u64).sum();
-        let q_tokens: u64 = int8_out.iter().map(|b| b.len() as u64).sum();
+            clock.time(|| {
+                sample_opts
+                    .iter()
+                    .zip(rngs.iter_mut())
+                    .map(|(so, rng)| lm.generate_legacy(&prompt, max_new, so, rng))
+                    .collect::<Vec<Vec<usize>>>()
+            })
+        });
+        let measured = PATHS.map(|(_, mode, _)| {
+            let Some(mode) = mode else {
+                return Measured {
+                    secs: naive.secs,
+                    tokens: tokens(&naive.out),
+                    engine: Counters::default(),
+                };
+            };
+            let run = best_of(repeats, |clock| {
+                let mut rngs = rngs();
+                let before = Counters::read("decode.");
+                let (_session, _prefix, gens) = clock.time(|| {
+                    let mut session = DecodeSession::new_with(&lm, mode);
+                    let prefix = session.prefill(&prompt, max_new);
+                    let gens = session.decode_batch(&prefix, max_new, &sample_opts, &mut rngs);
+                    (session, prefix, gens)
+                });
+                let engine = Counters::read("decode.").since(&before);
+                let ids: Vec<Vec<usize>> = gens.into_iter().map(|g| g.ids).collect();
+                // Int8 ids legitimately differ from f32 (see above).
+                if mode != KernelMode::QuantizedInt8 {
+                    assert_eq!(ids, naive.out, "engines diverged on {}", problem.id);
+                }
+                // The engine's own counters must see every fork and token.
+                assert_eq!(engine.get("decode.forks"), u64::from(n_samples), "fork count drifted");
+                assert_eq!(engine.get("decode.tokens"), tokens(&ids), "engine token count drifted");
+                (tokens(&ids), engine)
+            });
+            let (tokens, engine) = run.out;
+            Measured { secs: run.secs, tokens, engine }
+        });
+        let [n, s, q] = &measured;
         eprintln!(
-            "{:<24} prompt {:>3} tok, {tokens:>4} decode tok: naive {:.3}s, session {:.3}s \
-             ({:.2}x), int8 {q_tokens:>4} tok {best_int8:.3}s",
+            "{:<24} prompt {:>3} tok, {:>4} decode tok: naive {:.3}s, session {:.3}s, \
+             int8 {:>4} tok {:.3}s",
             problem.id,
             prompt.len(),
-            best_naive,
-            best_session,
-            if best_session > 0.0 { best_naive / best_session } else { 1.0 },
+            n.tokens,
+            n.secs.fastest,
+            s.secs.fastest,
+            q.tokens,
+            q.secs.fastest,
         );
-        naive_secs += best_naive;
-        session_secs += best_session;
-        int8_secs += best_int8;
-        decode_tokens += tokens;
-        int8_tokens += q_tokens;
-        per_problem.push(PerProblem {
-            id: problem.id.clone(),
-            prompt_tokens: prompt.len() as u64,
-            decode_tokens: tokens,
-            naive_secs: best_naive,
-            session_secs: best_session,
-            int8_tokens: q_tokens,
-            int8_secs: best_int8,
-        });
+        per_problem.push((problem.id.clone(), prompt.len(), measured));
     }
 
-    let naive = path("blocked", naive_secs, decode_tokens);
-    let session = path("blocked", session_secs, decode_tokens);
-    let session_int8 = path("int8", int8_secs, int8_tokens);
-    let speedup = if session.secs > 0.0 { naive.secs / session.secs } else { 1.0 };
-    let speedup_int8 = if session.tokens_per_sec > 0.0 {
-        session_int8.tokens_per_sec / session.tokens_per_sec
-    } else {
-        1.0
-    };
-    eprintln!(
-        "total: naive {:.3}s ({:.0} tok/s) vs session {:.3}s ({:.0} tok/s) — {speedup:.2}x",
-        naive.secs, naive.tokens_per_sec, session.secs, session.tokens_per_sec
-    );
-    eprintln!(
-        "total: int8 session {:.3}s ({:.0} tok/s) — {speedup_int8:.2}x f32 session tokens/sec",
-        session_int8.secs, session_int8.tokens_per_sec
-    );
+    // Path totals first, then the per-problem breakdown.
+    for (i, (name, mode, base)) in PATHS.iter().enumerate() {
+        let secs: Secs = per_problem.iter().map(|p| p.2[i].secs).sum();
+        let tokens: u64 = per_problem.iter().map(|p| p.2[i].tokens).sum();
+        let engine =
+            per_problem.iter().fold(Counters::default(), |sum, p| sum + p.2[i].engine.clone());
+        let kernel = mode.unwrap_or(lm.kernels()).to_string();
+        let row = report.push(
+            Row::new(*name, secs, tokens, "tokens")
+                .baseline(*base)
+                .counts(&engine)
+                .label("kernel", kernel),
+        );
+        eprintln!(
+            "total: {name} {:.3}s ({:.0} tok/s, {:.2}x {base})",
+            secs.fastest,
+            row.per_sec(),
+            row.speedup().unwrap_or(1.0)
+        );
+    }
+    for (id, prompt_tokens, measured) in &per_problem {
+        for ((name, _, base), m) in PATHS.iter().zip(measured) {
+            report.push(
+                Row::new(format!("{name}/{id}"), m.secs, m.tokens, "tokens")
+                    .baseline(format!("{base}/{id}"))
+                    .count("prompt_tokens", *prompt_tokens as u64)
+                    .counts(&m.engine),
+            );
+        }
+    }
 
     // Equivalence-mode scoring row: drive every golden design against
     // itself with the exhaustive-sweep strategy. Pure simulator work — no
-    // decode happens here, so the decode.* counters audited below are
-    // untouched by this section.
-    let mut eq_secs = f64::INFINITY;
-    let mut eq_stats = SimStats::default();
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let mut stats = SimStats::default();
-        for problem in &problems {
-            let golden = golden_source(&problem.family);
-            let mut bench = ProblemBench::new_with_check(
-                &problem.family,
-                SimMode::Compiled,
-                CheckStrategy::Equivalence { max_input_bits: DEFAULT_MAX_EQ_INPUTS },
-            );
-            let v = bench.check(&golden);
-            assert!(v.is_pass(), "golden design fails self-equivalence on {}", problem.id);
-            stats.merge(&bench.stats);
-        }
-        eq_secs = eq_secs.min(start.elapsed().as_secs_f64());
-        eq_stats = stats;
-    }
-    let equivalence = EquivalenceReport {
-        problems: problems.len() as u64,
-        exhaustive: eq_stats.exhaustive_checks,
-        fallback: eq_stats.fallback_checks,
-        vectors: eq_stats.vectors,
-        secs: eq_secs,
-        vectors_per_sec: if eq_secs > 0.0 { eq_stats.vectors as f64 / eq_secs } else { 0.0 },
-    };
+    // decode happens here.
+    let eq = best_of(repeats, |clock| {
+        clock.time(|| {
+            let mut stats = SimStats::default();
+            for problem in &problems {
+                let golden = golden_source(&problem.family);
+                let mut bench = ProblemBench::new_with_check(
+                    &problem.family,
+                    SimMode::Compiled,
+                    CheckStrategy::Equivalence { max_input_bits: DEFAULT_MAX_EQ_INPUTS },
+                );
+                let v = bench.check(&golden);
+                assert!(v.is_pass(), "golden design fails self-equivalence on {}", problem.id);
+                stats.merge(&bench.stats);
+            }
+            stats
+        })
+    });
+    let stats = eq.out;
     assert_eq!(
-        equivalence.exhaustive + equivalence.fallback,
-        equivalence.problems,
+        stats.exhaustive_checks + stats.fallback_checks,
+        problems.len() as u64,
         "every problem resolves to exactly one strategy"
+    );
+    let row = report.push(
+        Row::new("equivalence", eq.secs, stats.vectors, "vectors")
+            .count("problems", problems.len() as u64)
+            .count("exhaustive", stats.exhaustive_checks)
+            .count("fallback", stats.fallback_checks),
     );
     eprintln!(
         "equivalence: {} problem(s), {} exhaustive / {} fallback, {} vectors in {:.3}s \
          ({:.0} vec/s)",
-        equivalence.problems,
-        equivalence.exhaustive,
-        equivalence.fallback,
-        equivalence.vectors,
-        equivalence.secs,
-        equivalence.vectors_per_sec
+        problems.len(),
+        stats.exhaustive_checks,
+        stats.fallback_checks,
+        stats.vectors,
+        eq.secs.fastest,
+        row.per_sec()
     );
-
-    let report = BenchReport {
-        host_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()) as u64,
-        problems: problems.len() as u64,
-        samples_per_problem: u64::from(n_samples),
-        max_new_tokens: max_new as u64,
-        repeats: repeats as u64,
-        naive,
-        session,
-        session_int8,
-        speedup_vs_naive: speedup,
-        speedup_int8_vs_session: speedup_int8,
-        equivalence,
-        per_problem,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialise report");
-    std::fs::write("BENCH_eval.json", &json).expect("write BENCH_eval.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_eval.json");
-
-    // The session path runs through the instrumented engine, so the global
-    // registry must have seen every fork and decode token (`repeats`
-    // passes per problem). Export the snapshot next to the wall-time
-    // report and cross-check it against the independent count above.
-    let snap = pyranet::obs::global().snapshot();
-    let forks = snap.counter("decode.forks").unwrap_or(0);
-    let engine_tokens = snap.counter("decode.tokens").unwrap_or(0);
-    // Both instrumented session paths (f32 and int8) fork n_samples
-    // sequences per repeat per problem.
-    assert_eq!(
-        forks,
-        report.problems * report.samples_per_problem * report.repeats * 2,
-        "every repeat of both session paths forks n_samples sequences"
-    );
-    assert_eq!(
-        engine_tokens,
-        (decode_tokens + int8_tokens) * report.repeats,
-        "engine token count drifted"
-    );
-    std::fs::write("BENCH_eval_metrics.json", snap.to_json()).expect("write metrics snapshot");
-    eprintln!("wrote BENCH_eval_metrics.json ({} metric(s))", snap.entries.len());
+    report.write();
 }

@@ -1,6 +1,7 @@
 //! Serve-daemon benchmark: the same request stream replayed through the
 //! continuous-batching engine and through a sequential one-request-at-a-
-//! time engine, written to `BENCH_serve.json`.
+//! time engine, written to `BENCH_serve.json` (rows `sequential` and
+//! `continuous`).
 //!
 //! * **sequential** — `max_batch = 1`: each request decodes alone, the
 //!   next admitted only after the previous retires. This is the serving
@@ -22,66 +23,12 @@
 use pyranet::eval::machine_split;
 use pyranet::model::{ModelConfig, Tokenizer, TransformerLm};
 use pyranet::serve::{replay, ReplayOutcome, ServeConfig, ServeRequest, ServeResponse};
-use pyranet_bench::Scale;
-use serde::Serialize;
-use std::time::Instant;
+use pyranet_bench::{best_of, Report, Row, Scale};
 
 /// Batch depth of the continuous path (the acceptance bar is depth
 /// ≥ 8; 16 keeps the lock-step batch wide enough that the per-step
 /// weight traversal amortizes even as the stream drains).
 const DEPTH: usize = 16;
-
-#[derive(Serialize)]
-struct PathReport {
-    /// Lock-step batch width.
-    max_batch: u64,
-    /// Wall seconds (fastest repeat, whole replay).
-    secs: f64,
-    /// Decode (completion) tokens produced.
-    tokens: u64,
-    /// Decode throughput.
-    tokens_per_sec: f64,
-    /// Engine pump iterations (lock-step forward steps).
-    steps: u64,
-    /// Prefix-cache hits.
-    cache_hits: u64,
-    /// Prefix-cache misses.
-    cache_misses: u64,
-    /// Submits bounced by backpressure and retried.
-    resubmissions: u64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    /// `std::thread::available_parallelism()` on the benchmarking host.
-    host_parallelism: u64,
-    /// Requests in the replayed stream.
-    requests: u64,
-    /// Admission-queue bound used on both paths.
-    queue_depth: u64,
-    /// Repeats per measurement (fastest wins).
-    repeats: u64,
-    /// One request at a time (`max_batch = 1`).
-    sequential: PathReport,
-    /// Continuous batching at `max_batch = DEPTH`.
-    continuous: PathReport,
-    /// Continuous throughput over sequential (identical token counts,
-    /// so this is also the wall-time ratio).
-    speedup: f64,
-}
-
-fn path(max_batch: usize, secs: f64, out: &ReplayOutcome) -> PathReport {
-    PathReport {
-        max_batch: max_batch as u64,
-        secs,
-        tokens: out.decode_tokens,
-        tokens_per_sec: if secs > 0.0 { out.decode_tokens as f64 / secs } else { 0.0 },
-        steps: out.steps,
-        cache_hits: out.cache.hits,
-        cache_misses: out.cache.misses,
-        resubmissions: out.resubmissions,
-    }
-}
 
 fn by_id(mut rs: Vec<ServeResponse>) -> Vec<ServeResponse> {
     rs.sort_by(|a, b| a.id.cmp(&b.id));
@@ -148,52 +95,47 @@ fn main() {
         ..ServeConfig::default()
     };
 
-    let run = |max_batch: usize| -> (f64, ReplayOutcome) {
-        let mut best = f64::INFINITY;
-        let mut last = None;
-        for _ in 0..repeats {
-            let start = Instant::now();
-            let out = replay(&lm, &tk, serve_cfg(max_batch), &requests);
-            best = best.min(start.elapsed().as_secs_f64());
-            last = Some(out);
-        }
-        (best, last.expect("at least one repeat"))
+    let mut report = Report::new("serve", scale, repeats);
+    report.param("requests", requests.len()).param("queue_depth", queue_depth);
+    let run = |max_batch: usize, expect: Option<&ReplayOutcome>| {
+        best_of(repeats, |clock| {
+            let out = clock.time(|| replay(&lm, &tk, serve_cfg(max_batch), &requests));
+            if let Some(expect) = expect {
+                assert_eq!(
+                    by_id(out.responses.clone()),
+                    by_id(expect.responses.clone()),
+                    "continuous batching changed a completion"
+                );
+                assert_eq!(out.decode_tokens, expect.decode_tokens);
+            }
+            out
+        })
     };
+    let sequential = run(1, None);
+    let continuous = run(DEPTH, Some(&sequential.out));
 
-    let (seq_secs, seq_out) = run(1);
-    let (cont_secs, cont_out) = run(DEPTH);
-    assert_eq!(
-        by_id(seq_out.responses.clone()),
-        by_id(cont_out.responses.clone()),
-        "continuous batching changed a completion"
-    );
-    assert_eq!(seq_out.decode_tokens, cont_out.decode_tokens);
-
-    let sequential = path(1, seq_secs, &seq_out);
-    let continuous = path(DEPTH, cont_secs, &cont_out);
-    let speedup = if continuous.secs > 0.0 { sequential.secs / continuous.secs } else { 1.0 };
-    eprintln!(
-        "{} request(s), {} decode tok: sequential {:.3}s ({:.0} tok/s) vs continuous@{DEPTH} \
-         {:.3}s ({:.0} tok/s) — {speedup:.2}x",
-        requests.len(),
-        seq_out.decode_tokens,
-        sequential.secs,
-        sequential.tokens_per_sec,
-        continuous.secs,
-        continuous.tokens_per_sec
-    );
-
-    let report = BenchReport {
-        host_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()) as u64,
-        requests: requests.len() as u64,
-        queue_depth: queue_depth as u64,
-        repeats: repeats as u64,
-        sequential,
-        continuous,
-        speedup,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialise report");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_serve.json");
+    for (name, max_batch, run) in
+        [("sequential", 1, &sequential), ("continuous", DEPTH, &continuous)]
+    {
+        let out = &run.out;
+        let row = report.push(
+            Row::new(name, run.secs, out.decode_tokens, "tokens")
+                .baseline("sequential")
+                .count("max_batch", max_batch as u64)
+                .count("steps", out.steps)
+                .count("cache_hits", out.cache.hits)
+                .count("cache_misses", out.cache.misses)
+                .count("resubmissions", out.resubmissions),
+        );
+        eprintln!(
+            "{} request(s), {} decode tok: {name}@{max_batch} {:.3}s ({:.0} tok/s, {:.2}x \
+             sequential)",
+            requests.len(),
+            out.decode_tokens,
+            run.secs.fastest,
+            row.per_sec(),
+            row.speedup().unwrap_or(1.0)
+        );
+    }
+    report.write();
 }

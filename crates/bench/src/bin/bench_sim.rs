@@ -1,6 +1,8 @@
 //! Simulation-backend benchmark: the testbench scoring workload (random
 //! stimulus vectors through the golden models of the eval problems) timed
-//! on both simulation backends, written to `BENCH_sim.json`.
+//! on both simulation backends, written to `BENCH_sim.json` (rows
+//! `reference` and `compiled`, each broken down per design as
+//! `<row>/<problem id>`).
 //!
 //! * **reference** — the event-driven interpreter walking the elaborated
 //!   AST for every evaluation.
@@ -18,66 +20,12 @@
 
 use pyranet::eval::machine_split;
 use pyranet::verilog::{SimDesign, SimMode};
-use pyranet_bench::Scale;
+use pyranet_bench::{best_of, Report, Row, Scale, Secs};
 use pyranet_corpus::gen::generate;
 use pyranet_corpus::style::StyleOptions;
+use pyranet_exec::stream_seed_str;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
-use std::time::Instant;
-
-#[derive(Serialize)]
-struct PathReport {
-    /// Wall seconds (fastest repeat, summed across designs).
-    secs: f64,
-    /// Stimulus vectors driven.
-    vectors: u64,
-    /// Vector throughput.
-    vectors_per_sec: f64,
-}
-
-#[derive(Serialize)]
-struct PerDesign {
-    /// Problem id whose golden model is benchmarked.
-    id: String,
-    /// Stimulus vectors per repeat.
-    vectors: u64,
-    /// Whether the design is clocked (a clock edge per vector).
-    clocked: bool,
-    /// Fastest reference wall time.
-    reference_secs: f64,
-    /// Fastest compiled wall time.
-    compiled_secs: f64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    /// `std::thread::available_parallelism()` on the benchmarking host.
-    host_parallelism: u64,
-    /// Designs in the workload.
-    designs: u64,
-    /// Stimulus vectors per design.
-    vectors_per_design: u64,
-    /// Repeats per measurement (fastest wins).
-    repeats: u64,
-    /// Event-driven interpreter.
-    reference: PathReport,
-    /// Bytecode VM.
-    compiled: PathReport,
-    /// Compiled throughput over reference (same vector count, so this is
-    /// also the wall-time ratio).
-    speedup_vs_reference: f64,
-    /// Per-design wall times.
-    per_design: Vec<PerDesign>,
-}
-
-fn path(secs: f64, vectors: u64) -> PathReport {
-    PathReport {
-        secs,
-        vectors,
-        vectors_per_sec: if secs > 0.0 { vectors as f64 / secs } else { 0.0 },
-    }
-}
 
 /// One timed pass: instantiate the design and drive `vectors` random
 /// stimulus vectors, returning the full output trace for the identity
@@ -123,9 +71,10 @@ fn main() {
     };
 
     let problems: Vec<_> = machine_split().into_iter().take(n_designs).collect();
+    let mut report = Report::new("sim", scale, repeats);
+    report.param("designs", problems.len()).param("vectors_per_design", vectors);
+    // Per design: id, clockedness, reference and compiled seconds.
     let mut per_design = Vec::new();
-    let (mut reference_secs, mut compiled_secs) = (0.0f64, 0.0f64);
-    let mut total_vectors = 0u64;
     for problem in &problems {
         // Same seed as the eval testbench, so this benchmarks the exact
         // golden models the harness scores against.
@@ -150,71 +99,49 @@ fn main() {
         let outputs: Vec<String> = probe.outputs().to_vec();
         drop(probe);
 
-        let stimulus =
-            || ChaCha8Rng::seed_from_u64(pyranet_exec::stream_seed_str(0x51AB, &problem.id));
-        let run = |design: &SimDesign| {
-            let mut best = f64::INFINITY;
-            let mut trace = Vec::new();
-            for _ in 0..repeats {
-                let start = Instant::now();
-                let t = drive(
-                    design,
-                    &inputs,
-                    &outputs,
-                    clock.as_deref(),
-                    reset.as_deref(),
-                    vectors,
-                    stimulus(),
-                );
-                best = best.min(start.elapsed().as_secs_f64());
-                trace = t;
-            }
-            (best, trace)
+        let run = |design: &SimDesign, expect: Option<&[u64]>| {
+            best_of(repeats, |timer| {
+                let stimulus = ChaCha8Rng::seed_from_u64(stream_seed_str(0x51AB, &problem.id));
+                let (clock, reset) = (clock.as_deref(), reset.as_deref());
+                let trace = timer
+                    .time(|| drive(design, &inputs, &outputs, clock, reset, vectors, stimulus));
+                if let Some(expect) = expect {
+                    assert_eq!(trace, expect, "backends diverged on {}", problem.id);
+                }
+                trace
+            })
         };
-
-        let (best_ref, trace_ref) = run(&reference);
-        let (best_cmp, trace_cmp) = run(&compiled);
-        assert_eq!(trace_cmp, trace_ref, "backends diverged on {}", problem.id);
-
+        let reference = run(&reference, None);
+        let compiled = run(&compiled, Some(&reference.out));
         eprintln!(
-            "{:<24} {vectors:>5} vectors: reference {:.4}s, compiled {:.4}s ({:.2}x)",
-            problem.id,
-            best_ref,
-            best_cmp,
-            if best_cmp > 0.0 { best_ref / best_cmp } else { 1.0 },
+            "{:<24} {vectors:>5} vectors: reference {:.4}s, compiled {:.4}s",
+            problem.id, reference.secs.fastest, compiled.secs.fastest,
         );
-        reference_secs += best_ref;
-        compiled_secs += best_cmp;
-        total_vectors += vectors as u64;
-        per_design.push(PerDesign {
-            id: problem.id.clone(),
-            vectors: vectors as u64,
-            clocked: clock.is_some(),
-            reference_secs: best_ref,
-            compiled_secs: best_cmp,
-        });
+        per_design.push((problem.id.clone(), clock.is_some(), [reference.secs, compiled.secs]));
     }
 
-    let reference = path(reference_secs, total_vectors);
-    let compiled = path(compiled_secs, total_vectors);
-    let speedup = if compiled.secs > 0.0 { reference.secs / compiled.secs } else { 1.0 };
-    eprintln!(
-        "total: reference {:.3}s ({:.0} vec/s) vs compiled {:.3}s ({:.0} vec/s) — {speedup:.2}x",
-        reference.secs, reference.vectors_per_sec, compiled.secs, compiled.vectors_per_sec
-    );
-
-    let report = BenchReport {
-        host_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()) as u64,
-        designs: problems.len() as u64,
-        vectors_per_design: vectors as u64,
-        repeats: repeats as u64,
-        reference,
-        compiled,
-        speedup_vs_reference: speedup,
-        per_design,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serialise report");
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_sim.json");
+    // Backend totals first, then the per-design breakdown.
+    let backends = ["reference", "compiled"];
+    let work = |designs: usize| (designs * vectors) as u64;
+    for (i, name) in backends.iter().enumerate() {
+        let secs: Secs = per_design.iter().map(|d| d.2[i]).sum();
+        let row = report
+            .push(Row::new(*name, secs, work(per_design.len()), "vectors").baseline("reference"));
+        eprintln!(
+            "total: {name} {:.3}s ({:.0} vec/s, {:.2}x reference)",
+            secs.fastest,
+            row.per_sec(),
+            row.speedup().unwrap_or(1.0)
+        );
+    }
+    for (id, clocked, secs) in &per_design {
+        for (name, secs) in backends.iter().zip(secs) {
+            report.push(
+                Row::new(format!("{name}/{id}"), *secs, work(1), "vectors")
+                    .baseline(format!("reference/{id}"))
+                    .label("clocked", *clocked),
+            );
+        }
+    }
+    report.write();
 }

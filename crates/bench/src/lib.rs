@@ -1,13 +1,21 @@
-//! Shared harness for the table/figure regeneration binaries.
+//! Shared harness for the table/figure regeneration binaries and the
+//! `bench_*` reporters.
 //!
 //! Every binary honours `PYRANET_SCALE`:
 //!
 //! * `quick` — minutes-scale smoke run (small corpus, few samples);
 //! * `full` (default) — the scale used for EXPERIMENTS.md.
 //!
+//! Any other value stops the binary with an error.
+//!
 //! Results of the expensive Table I run are cached as JSON under
 //! `target/pyranet-results/` so Table III can be derived without
-//! retraining.
+//! retraining. The `bench_*` binaries write one [`Report`] each (see
+//! [`report`]).
+
+pub mod report;
+
+pub use report::{best_of, Counters, Report, Row, Secs};
 
 use pyranet::eval::EvalOptions;
 use pyranet::train::TrainConfig;
@@ -25,11 +33,40 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `PYRANET_SCALE` (default `full`).
+    /// Reads `PYRANET_SCALE` (default `full`), exiting with status 2 on
+    /// any other value than `quick` or `full`.
     pub fn from_env() -> Scale {
-        match std::env::var("PYRANET_SCALE").as_deref() {
-            Ok("quick") => Scale::Quick,
-            _ => Scale::Full,
+        let raw = std::env::var_os("PYRANET_SCALE").map(|v| v.to_string_lossy().into_owned());
+        match Scale::parse(raw.as_deref()) {
+            Ok(scale) => scale,
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// The scale a `PYRANET_SCALE` value names: `quick`, `full`, or
+    /// `full` when unset.
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and both values for anything else.
+    pub fn parse(value: Option<&str>) -> Result<Scale, String> {
+        match value {
+            Some("quick") => Ok(Scale::Quick),
+            Some("full") | None => Ok(Scale::Full),
+            Some(other) => {
+                Err(format!("bad PYRANET_SCALE `{other}` (quick|full, or unset for full)"))
+            }
+        }
+    }
+
+    /// The scale's `PYRANET_SCALE` value.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
         }
     }
 
@@ -163,6 +200,21 @@ mod tests {
             Scale::Full.experiment_options().eval.samples_per_problem
                 > Scale::Quick.experiment_options().eval.samples_per_problem
         );
+    }
+
+    #[test]
+    fn scale_parse_accepts_quick_full_or_unset_only() {
+        assert_eq!(Scale::parse(Some("quick")), Ok(Scale::Quick));
+        assert_eq!(Scale::parse(Some("full")), Ok(Scale::Full));
+        assert_eq!(Scale::parse(None), Ok(Scale::Full));
+        for typo in ["quik", "Quick", "", " full"] {
+            let err = Scale::parse(Some(typo)).expect_err(typo);
+            assert!(err.contains("PYRANET_SCALE"), "{err}");
+            assert!(err.contains("quick") && err.contains("full"), "{err}");
+        }
+        for scale in [Scale::Quick, Scale::Full] {
+            assert_eq!(Scale::parse(Some(scale.name())), Ok(scale));
+        }
     }
 
     #[test]

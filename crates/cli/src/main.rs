@@ -113,6 +113,20 @@ impl<'a> Flags<'a> {
         value.parse().map_err(|e| format!("bad {} `{value}`: {e}", self.flag))
     }
 
+    /// The current flag's value as a worker-thread count (0 = auto), at
+    /// most [`pyranet_exec::MAX_THREADS`].
+    fn threads(&mut self) -> Result<usize, String> {
+        let threads = self.parse()?;
+        if threads > pyranet_exec::MAX_THREADS {
+            return Err(format!(
+                "bad {} `{threads}`: at most {} threads",
+                self.flag,
+                pyranet_exec::MAX_THREADS
+            ));
+        }
+        Ok(threads)
+    }
+
     /// The current flag's optional value: the next argument, if it parses.
     fn optional<T: FromStr>(&mut self) -> Option<T> {
         let value = self.args.peek()?.parse().ok()?;
@@ -286,7 +300,7 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
             "--sim-check" => sim_check = Some(flags.optional().unwrap_or_default()),
             "--files" => files = flags.parse()?,
             "--seed" => seed = flags.parse()?,
-            "--threads" => threads = flags.parse()?,
+            "--threads" => threads = flags.threads()?,
             "--out" => out = Some(flags.value()?),
             "--out-dir" => out_dir = Some(flags.value()?),
             "--cache-dir" => cache_dir = Some(flags.value()?),
@@ -380,7 +394,7 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             "--verbose" => metrics.verbose = true,
             "--files" => files = flags.parse()?,
             "--seed" => seed = flags.parse()?,
-            "--threads" => cfg.threads = flags.parse()?,
+            "--threads" => cfg.threads = flags.threads()?,
             "--batch-size" => cfg.batch_size = flags.parse::<usize>()?.max(1),
             "--epochs" => cfg.epochs = flags.parse::<usize>()?.max(1),
             "--max-examples" => cfg.max_examples_per_phase = Some(flags.parse()?),
@@ -493,7 +507,7 @@ fn cmd_eval(args: &[String]) -> Result<(), String> {
             "--split" => split = flags.value()?,
             "--samples" => opts.samples_per_problem = flags.parse::<u32>()?.max(1),
             "--max-new-tokens" => opts.max_new_tokens = flags.parse()?,
-            "--threads" => opts.threads = flags.parse()?,
+            "--threads" => opts.threads = flags.threads()?,
             "--seed" => opts.seed = flags.parse()?,
             "--kernel" => opts.kernel = flags.parse()?,
             "--sim" => opts.sim = flags.parse()?,
@@ -586,7 +600,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--prefix-cache" => cfg.prefix_cache_entries = flags.parse()?,
             "--seed" => cfg.seed = flags.parse()?,
             "--kernel" => cfg.kernel = flags.parse()?,
-            "--threads" => cfg.threads = flags.parse()?,
+            "--threads" => cfg.threads = flags.threads()?,
             "--files" => files = flags.parse()?,
             "--epochs" => epochs = flags.parse::<usize>()?.max(1),
             "--shuffle-arrival" => shuffle_arrival = Some(flags.parse()?),
@@ -717,6 +731,11 @@ mod tests {
             (&["eval", "--max-eq-inputs", "12x"], "--max-eq-inputs"),
             (&["eval", "--max-eq-inputs", "21"], "--max-eq-inputs"),
             (&["serve", "--max-batch", "0.5"], "--max-batch"),
+            // More threads than the executor's bound, before any work.
+            (&["build-dataset", "--threads", "5000"], "--threads"),
+            (&["train", "--threads", "257"], "--threads"),
+            (&["eval", "--threads", "5000"], "--threads"),
+            (&["serve", "--threads", "5000"], "--threads"),
             (&["train", "--kernel", "simd"], "--kernel"),
             (&["sim", "m.v", "top", "a=1", "--cycles", "x"], "--cycles"),
         ] {

@@ -24,8 +24,17 @@
 //!
 //! Thread-count resolution (first match wins):
 //! 1. an explicit [`ExecConfig::threads`] value `> 0`;
-//! 2. the `PYRANET_THREADS` environment variable;
+//! 2. the `PYRANET_THREADS` environment variable, when it is a count in
+//!    `1..=`[`MAX_THREADS`];
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! Every count is capped at [`MAX_THREADS`]: [`par_map`] spawns one OS
+//! thread per worker on every call.
+
+/// The most worker threads a parallel call uses. Far above the 8 the
+/// determinism tests pin; a larger request is an error at the CLI and is
+/// capped here.
+pub const MAX_THREADS: usize = 256;
 
 /// Thread-count knob for the executor.
 ///
@@ -55,24 +64,22 @@ impl ExecConfig {
     }
 
     /// The thread count a parallel call will actually use (before
-    /// clamping to the batch size).
+    /// clamping to the batch size), at most [`MAX_THREADS`].
     pub fn effective_threads(&self) -> usize {
         if self.requested > 0 {
-            return self.requested;
+            return self.requested.min(MAX_THREADS);
         }
-        if let Some(n) = env_threads() {
+        if let Some(n) = std::env::var("PYRANET_THREADS").ok().as_deref().and_then(parse_threads) {
             return n;
         }
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(MAX_THREADS)
     }
 }
 
-fn env_threads() -> Option<usize> {
-    let raw = std::env::var("PYRANET_THREADS").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n > 0 => Some(n),
-        _ => None,
-    }
+/// A `PYRANET_THREADS` value: a count in `1..=`[`MAX_THREADS`], else
+/// `None` (ignored).
+fn parse_threads(raw: &str) -> Option<usize> {
+    raw.trim().parse::<usize>().ok().filter(|n| (1..=MAX_THREADS).contains(n))
 }
 
 /// Maps `f` over `items`, in parallel, preserving order.
@@ -135,28 +142,6 @@ where
     F: Fn(&'a T) -> U + Sync,
 {
     par_map(config, items.iter().collect(), f)
-}
-
-/// Maps in parallel, then folds the mapped values **in input order**.
-///
-/// The fold itself is sequential, so unlike classic tree reductions the
-/// reducer does not have to be commutative or associative for the result
-/// to be thread-count-independent — handy for funnel counters and
-/// "first occurrence wins" accumulations.
-pub fn par_map_reduce<T, U, A, M, R>(
-    config: &ExecConfig,
-    items: Vec<T>,
-    map: M,
-    init: A,
-    reduce: R,
-) -> A
-where
-    T: Send,
-    U: Send,
-    M: Fn(T) -> U + Sync,
-    R: FnMut(A, U) -> A,
-{
-    par_map(config, items, map).into_iter().fold(init, reduce)
 }
 
 /// The splitmix64 finalizer: a bijective avalanche mix of one `u64`.
@@ -294,31 +279,32 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reduce_is_order_stable() {
-        let items: Vec<u32> = (0..100).collect();
-        let seq: Vec<u32> = items.iter().map(|&v| v * 2).collect();
-        for threads in [1, 2, 8] {
-            let cfg = ExecConfig::new().threads(threads);
-            let folded = par_map_reduce(
-                &cfg,
-                items.clone(),
-                |v| v * 2,
-                Vec::new(),
-                |mut acc: Vec<u32>, v| {
-                    acc.push(v);
-                    acc
-                },
-            );
-            assert_eq!(folded, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn explicit_threads_beat_env_and_auto() {
         let cfg = ExecConfig::new().threads(3);
         assert_eq!(cfg.effective_threads(), 3);
         assert_eq!(ExecConfig::new().requested_threads(), 0);
         assert!(ExecConfig::new().effective_threads() >= 1);
+    }
+
+    #[test]
+    fn thread_counts_are_bounded() {
+        for (raw, want) in [
+            ("1", Some(1)),
+            (" 8\n", Some(8)),
+            ("256", Some(MAX_THREADS)),
+            ("257", None),
+            ("5000", None),
+            ("0", None),
+            ("-1", None),
+            ("four", None),
+            ("", None),
+        ] {
+            assert_eq!(parse_threads(raw), want, "{raw:?}");
+        }
+        // Resolving a count spawns nothing; an explicit count is capped.
+        let cfg = ExecConfig::new().threads(MAX_THREADS + 1);
+        assert_eq!(cfg.effective_threads(), MAX_THREADS);
+        assert_eq!(cfg.requested_threads(), MAX_THREADS + 1);
     }
 
     #[test]

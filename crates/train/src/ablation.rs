@@ -81,33 +81,67 @@ mod tests {
         (ds, tk, lm)
     }
 
+    fn cfg() -> TrainConfig {
+        TrainConfig { epochs: 1, max_examples_per_phase: Some(12), ..TrainConfig::default() }
+    }
+
+    /// Trains a fresh copy of `lm` on `examples` exactly as the recipes'
+    /// one phase does (`shuffle` as `WeightingOnly`, in order as
+    /// `CurriculumOnly`).
+    fn phase(
+        lm: &TransformerLm,
+        mut examples: Vec<TrainExample>,
+        name: &str,
+        shuffle: bool,
+    ) -> TransformerLm {
+        let mut lm = lm.clone();
+        let mut report = TrainReport::new(name);
+        run_phase_with_order(&mut lm, &mut examples, &cfg(), name, 1.0, &mut report, shuffle);
+        lm
+    }
+
     #[test]
     fn weighting_only_carries_layer_weights() {
-        let (ds, tk, _) = setup();
-        let examples: Vec<TrainExample> =
+        let (ds, tk, lm) = setup();
+        let mut weighted = lm.clone();
+        WeightingOnly::run(&mut weighted, &tk, &ds, &cfg());
+        // The recipe trains on each sample at its layer's weight...
+        let layer_weighted: Vec<TrainExample> =
             ds.iter().map(|s| to_example(s, &tk, s.layer.loss_weight() as f32)).collect();
-        let weights: std::collections::HashSet<u32> =
-            examples.iter().map(|e| (e.weight * 10.0) as u32).collect();
-        assert!(weights.len() >= 2, "multiple distinct weights expected: {weights:?}");
+        assert!(
+            weighted == phase(&lm, layer_weighted, "weighting-only", true),
+            "not layer weights"
+        );
+        // ...which ends at a different model than weight 1.0 everywhere.
+        let uniform = to_examples(ds.iter(), &tk, 1.0);
+        assert!(weighted != phase(&lm, uniform, "weighting-only", true), "weights had no effect");
     }
 
     #[test]
     fn both_ablations_train() {
         let (ds, tk, mut lm) = setup();
-        let cfg =
-            TrainConfig { epochs: 1, max_examples_per_phase: Some(12), ..TrainConfig::default() };
-        let r1 = WeightingOnly::run(&mut lm, &tk, &ds, &cfg);
-        let r2 = CurriculumOnly::run(&mut lm, &tk, &ds, &cfg);
+        let r1 = WeightingOnly::run(&mut lm, &tk, &ds, &cfg());
+        let r2 = CurriculumOnly::run(&mut lm, &tk, &ds, &cfg());
         assert_eq!(r1.phases.len(), 1);
         assert_eq!(r2.phases.len(), 1);
     }
 
     #[test]
     fn curriculum_only_preserves_order() {
-        let (ds, tk, _) = setup();
-        // example weights are all 1.0 and order follows the curriculum
-        let examples: Vec<TrainExample> = to_examples(ds.curriculum(), &tk, 1.0);
-        assert!(examples.iter().all(|e| (e.weight - 1.0).abs() < 1e-6));
-        assert_eq!(examples.len(), ds.len());
+        let (ds, tk, lm) = setup();
+        let mut curriculum = lm.clone();
+        CurriculumOnly::run(&mut curriculum, &tk, &ds, &cfg());
+        // The recipe trains on the curriculum order at weight 1.0...
+        let ordered = to_examples(ds.curriculum(), &tk, 1.0);
+        assert!(
+            curriculum == phase(&lm, ordered, "curriculum-only", false),
+            "not curriculum order"
+        );
+        // ...which ends at a different model than the dataset order.
+        let dataset_order = to_examples(ds.iter(), &tk, 1.0);
+        assert!(
+            curriculum != phase(&lm, dataset_order, "curriculum-only", false),
+            "order had no effect"
+        );
     }
 }
