@@ -5,9 +5,10 @@
 //! `reference` oracle (`train_reference`) and the register-tiled
 //! `blocked` kernels (`train_blocked`, baseline `train_reference`) — so
 //! the speedup directly quantifies the kernel rework; `generate` times
-//! greedy KV-cache decoding. Blocked is bit-identical to reference
-//! (tests/determinism.rs and the model crate's property tests enforce
-//! it), so the faster family is always safe to use.
+//! greedy KV-cache decoding. Blocked is bit-identical to reference:
+//! every blocked repeat asserts the reference's per-step losses and
+//! trained weights bit for bit, at the CLI model shape (the model
+//! crate's property tests and tests/determinism.rs pin it too).
 //!
 //! Honours `PYRANET_SCALE` (`quick` for the CI smoke run, `full` default).
 
@@ -62,18 +63,27 @@ fn main() {
 
     // One full pass over the examples per repeat: a fresh model and
     // optimizer with the kernel family under test, every batch stepped
-    // once.
+    // once. Every blocked repeat must reproduce the reference's losses
+    // and trained weights bit for bit.
     let tokens: u64 = examples.iter().map(|e| e.ids.len() as u64).sum();
+    let mut oracle: Option<(Vec<u32>, TransformerLm)> = None;
     for mode in [KernelMode::Reference, KernelMode::Blocked] {
         let pass = best_of(repeats, |clock| {
             let mut lm = TransformerLm::new(cfg.clone(), tk.vocab_size());
             lm.set_kernels(mode);
             let mut opt = Adam::new(lm.trainable_count(), tcfg.learning_rate);
-            clock.time(|| {
-                for batch in examples.chunks(tcfg.batch_size) {
-                    lm.train_step(batch, &mut opt);
-                }
+            let losses: Vec<u32> = clock.time(|| {
+                examples
+                    .chunks(tcfg.batch_size)
+                    .filter_map(|batch| lm.train_step(batch, &mut opt))
+                    .map(f32::to_bits)
+                    .collect()
             });
+            if let Some((ref_losses, ref_lm)) = &oracle {
+                assert_eq!(&losses, ref_losses, "{mode} losses drifted from reference");
+                assert!(lm == *ref_lm, "{mode} trained weights drifted from reference");
+            }
+            (losses, lm)
         });
         let row = report.push(
             Row::new(format!("train_{mode}"), pass.secs, tokens, "tokens")
@@ -85,6 +95,7 @@ fn main() {
             pass.secs.fastest,
             row.speedup().unwrap_or(1.0)
         );
+        oracle.get_or_insert(pass.out);
     }
 
     // Generation throughput: train briefly so sampling is non-degenerate,

@@ -12,8 +12,11 @@
 //! [`Graph::with_kernels`]). The `Blocked` and `Reference` families
 //! accumulate each output element in ascending shared-dimension order and
 //! are **bit-identical** on finite inputs — see the equivalence property
-//! tests. Softmax, layer norm, and cross-entropy are fused into two sweeps
-//! per row (one read-only statistics sweep, one write sweep).
+//! tests. Causal multi-head attention is one op
+//! ([`Graph::causal_attention`]) whose `Blocked` kernels touch only the
+//! lower triangle of each head's scores. Softmax, layer norm, and
+//! cross-entropy are fused into two sweeps per row (one read-only
+//! statistics sweep, one write sweep).
 
 /// A node id on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,8 +135,6 @@ impl std::str::FromStr for KernelMode {
 pub mod kernels {
     use super::{KernelMode, Matrix};
 
-    /// Rows of `b` reused per tile in the blocked nt kernel.
-    const JT: usize = 32;
     /// f32 lanes the int8 session's lane-split sweeps unroll to (one AVX2
     /// register; a multiple of the NEON width).
     pub const LANES: usize = 8;
@@ -284,49 +285,27 @@ pub mod kernels {
         }
     }
 
-    /// Blocked `a · bᵀ`: a tile of `b` rows is reused across every row of
-    /// `a`, and four dot products run at once so each `a` row is loaded
-    /// once per four `b` rows.
+    /// `mᵀ`, materialised. O(rows · cols) — small next to any matmul that
+    /// consumes it — and it moves values without touching their bits.
+    pub(crate) fn transpose(m: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(m.cols, m.rows);
+        for (r, row) in m.data.chunks_exact(m.cols.max(1)).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                t.data[c * m.rows + r] = x;
+            }
+        }
+        t
+    }
+
+    /// Blocked `a · bᵀ`: one transpose of `b`, then the register-tiled
+    /// [`matmul_blocked`]. Each output element is the same ascending-k
+    /// chained sum [`matmul_nt_reference`] computes, but the k loop now
+    /// runs over 32-wide vector accumulators instead of scalar dot chains
+    /// the compiler cannot vectorize.
     pub fn matmul_nt_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         debug_assert_eq!(a.cols, b.cols);
         debug_assert_eq!((out.rows, out.cols), (a.rows, b.rows));
-        let (m, k, n) = (a.rows, a.cols, b.rows);
-        for j0 in (0..n).step_by(JT) {
-            let jend = (j0 + JT).min(n);
-            for i in 0..m {
-                let arow = &a.data[i * k..(i + 1) * k];
-                let orow = &mut out.data[i * n..(i + 1) * n];
-                let mut j = j0;
-                while j + 4 <= jend {
-                    let b0 = &b.data[j * k..(j + 1) * k];
-                    let b1 = &b.data[(j + 1) * k..(j + 2) * k];
-                    let b2 = &b.data[(j + 2) * k..(j + 3) * k];
-                    let b3 = &b.data[(j + 3) * k..(j + 4) * k];
-                    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                    for kk in 0..k {
-                        let av = arow[kk];
-                        s0 += av * b0[kk];
-                        s1 += av * b1[kk];
-                        s2 += av * b2[kk];
-                        s3 += av * b3[kk];
-                    }
-                    orow[j] = s0;
-                    orow[j + 1] = s1;
-                    orow[j + 2] = s2;
-                    orow[j + 3] = s3;
-                    j += 4;
-                }
-                while j < jend {
-                    let brow = &b.data[j * k..(j + 1) * k];
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc += arow[kk] * brow[kk];
-                    }
-                    orow[j] = acc;
-                    j += 1;
-                }
-            }
-        }
+        matmul_blocked(a, &transpose(b), out);
     }
 
     /// The retained naive `a · bᵀ` (i-j-k dot products, the pre-optimization
@@ -362,12 +341,7 @@ pub mod kernels {
         // Transpose `a` once so the hot r loop reads a[·][j] contiguously
         // instead of striding by m per step. O(r·m) against the
         // O(r·m·n) multiply, and the accumulation order is untouched.
-        let mut at = vec![0.0f32; r_rows * m];
-        for r in 0..r_rows {
-            for j in 0..m {
-                at[j * r_rows + r] = a.data[r * m + j];
-            }
-        }
+        let at = transpose(a).data;
         // Narrow-output path, mirroring `matmul_blocked`: tile 4 output rows
         // so 4·n accumulator lanes stay live; ascending-r per element.
         if n <= RT / 2 {
@@ -443,6 +417,123 @@ pub mod kernels {
                     }
                     out.data[j * n + col0..j * n + col0 + w].copy_from_slice(&acc[..w]);
                 }
+            }
+        }
+    }
+
+    /// Where the nonzero entries of a square left operand sit, for
+    /// [`causal_matmul`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Triangle {
+        /// `a[i, j] = 0` for `j > i` (attention probabilities, score grads).
+        Lower,
+        /// `a[i, j] = 0` for `j < i` (their transposes).
+        Upper,
+    }
+
+    /// `out[i, j] = scale · Σ_c a[i, c] · b[j, c]` on the lower triangle
+    /// `j ≤ i` only: causal attention scores (`scale` = 1/√hₛ) and their
+    /// probability gradients (`scale` = 1). Score tiles above the diagonal
+    /// are never computed and entries above it are left untouched; the
+    /// scale is applied as each score is written.
+    ///
+    /// `b` is transposed once into rows padded to whole `RT`-wide tiles, so
+    /// each tile of a row accumulates in a fixed `[f32; RT]` held in vector
+    /// registers, ascending-c per element like [`matmul_nt_reference`].
+    pub(crate) fn causal_nt(a: &Matrix, b: &Matrix, scale: f32, out: &mut Matrix) {
+        debug_assert_eq!(a.cols, b.cols);
+        debug_assert_eq!((out.rows, out.cols), (a.rows, b.rows));
+        debug_assert_eq!(a.rows, b.rows);
+        let (t, k) = (a.rows, a.cols);
+        let tp = t.div_ceil(RT) * RT;
+        let mut bt = vec![0.0f32; k * tp];
+        for (j, brow) in b.data.chunks_exact(k.max(1)).enumerate() {
+            for (c, &x) in brow.iter().enumerate() {
+                bt[c * tp + j] = x;
+            }
+        }
+        for i in 0..t {
+            let arow = &a.data[i * k..(i + 1) * k];
+            for j0 in (0..=i).step_by(RT) {
+                let mut acc = [0.0f32; RT];
+                for (c, &av) in arow.iter().enumerate() {
+                    let brow: &[f32; RT] = bt[c * tp + j0..c * tp + j0 + RT].try_into().unwrap();
+                    for (s, &x) in acc.iter_mut().zip(brow) {
+                        *s += av * x;
+                    }
+                }
+                let w = (i + 1 - j0).min(RT);
+                for (o, &s) in out.data[i * t + j0..i * t + j0 + w].iter_mut().zip(&acc) {
+                    *o = s * scale;
+                }
+            }
+        }
+    }
+
+    /// `out = a · b` for a square `a` that is zero outside `tri`: each
+    /// output row's shared-dim loop covers only its nonzero span
+    /// (`0..=i` for [`Triangle::Lower`], `i..` for [`Triangle::Upper`]).
+    ///
+    /// Tiled like [`matmul_blocked`]'s narrow path: four output rows at a
+    /// time over column strips of at most `RT/2`, each row's span widened
+    /// to the tile's. The extra terms are masked entries of `a`, exactly
+    /// ±0 products; an accumulator that starts at +0 is never −0, so
+    /// adding ±0 to it changes nothing — every element equals the
+    /// ascending-k sum of [`matmul_reference`] and
+    /// [`matmul_tn_reference`] over the full square.
+    pub(crate) fn causal_matmul(a: &Matrix, b: &Matrix, tri: Triangle, out: &mut Matrix) {
+        debug_assert_eq!((a.rows, a.cols), (b.rows, b.rows));
+        debug_assert_eq!((out.rows, out.cols), (a.rows, b.cols));
+        const NB: usize = RT / 2;
+        let (t, n) = (a.rows, b.cols);
+        let span = |i: usize, rows: usize| match tri {
+            Triangle::Lower => 0..i + rows,
+            Triangle::Upper => i..t,
+        };
+        for c0 in (0..n).step_by(NB) {
+            let w = (n - c0).min(NB);
+            let mut i = 0;
+            while i + 4 <= t {
+                let a0 = &a.data[i * t..(i + 1) * t];
+                let a1 = &a.data[(i + 1) * t..(i + 2) * t];
+                let a2 = &a.data[(i + 2) * t..(i + 3) * t];
+                let a3 = &a.data[(i + 3) * t..(i + 4) * t];
+                let mut t0 = [0.0f32; NB];
+                let mut t1 = [0.0f32; NB];
+                let mut t2 = [0.0f32; NB];
+                let mut t3 = [0.0f32; NB];
+                for kk in span(i, 4) {
+                    let brow = &b.data[kk * n + c0..kk * n + c0 + w];
+                    for (s, &x) in t0[..w].iter_mut().zip(brow) {
+                        *s += a0[kk] * x;
+                    }
+                    for (s, &x) in t1[..w].iter_mut().zip(brow) {
+                        *s += a1[kk] * x;
+                    }
+                    for (s, &x) in t2[..w].iter_mut().zip(brow) {
+                        *s += a2[kk] * x;
+                    }
+                    for (s, &x) in t3[..w].iter_mut().zip(brow) {
+                        *s += a3[kk] * x;
+                    }
+                }
+                for (r, acc) in [t0, t1, t2, t3].iter().enumerate() {
+                    let o = (i + r) * n + c0;
+                    out.data[o..o + w].copy_from_slice(&acc[..w]);
+                }
+                i += 4;
+            }
+            while i < t {
+                let arow = &a.data[i * t..(i + 1) * t];
+                let mut acc = [0.0f32; NB];
+                for kk in span(i, 1) {
+                    let brow = &b.data[kk * n + c0..kk * n + c0 + w];
+                    for (s, &x) in acc[..w].iter_mut().zip(brow) {
+                        *s += arow[kk] * x;
+                    }
+                }
+                out.data[i * n + c0..i * n + c0 + w].copy_from_slice(&acc[..w]);
+                i += 1;
             }
         }
     }
@@ -559,23 +650,26 @@ enum Op {
     /// (a, b): C = A · Bᵀ
     MatMulNt(TensorId, TensorId),
     Add(TensorId, TensorId),
-    /// Adds a `[1, n]` row vector to every row.
-    AddRow(TensorId, TensorId),
-    Mul(TensorId, TensorId),
     Scale(TensorId, f32),
-    Gelu(TensorId),
+    /// GELU; caches the forward `tanh` of every element.
+    Gelu(TensorId, Vec<f32>),
     /// Row-wise layer norm; caches (mean, rstd) per row.
     LayerNorm(TensorId, Vec<(f32, f32)>),
     /// Row-wise softmax with optional causal mask (applied in forward).
     Softmax(TensorId),
+    /// Causal multi-head attention; caches each head's `[T, T]`
+    /// probabilities (zero above the diagonal).
+    CausalAttention {
+        q: TensorId,
+        k: TensorId,
+        v: TensorId,
+        scale: f32,
+        probs: Vec<Matrix>,
+    },
     /// Embedding gather: rows of `table` selected by `ids`.
     Gather(TensorId, Vec<usize>),
-    /// Column slice [start, len) of the input.
-    SliceCols(TensorId, usize, usize),
     /// First `rows` rows of the input.
     SliceRows(TensorId, usize),
-    /// Horizontal concatenation of column blocks.
-    ConcatCols(Vec<TensorId>),
     /// Weighted token cross-entropy; caches softmax probs.
     CrossEntropy {
         logits: TensorId,
@@ -744,33 +838,6 @@ impl Graph {
         self.push(out, Op::Add(a, b), needs)
     }
 
-    /// Adds row vector `row` (`[1, n]`) to every row of `a` (`[m, n]`).
-    pub fn add_row(&mut self, a: TensorId, row: TensorId) -> TensorId {
-        let (_, ac) = self.shape(a);
-        let (rr, rc) = self.shape(row);
-        assert_eq!((rr, rc), (1, ac), "add_row expects [1,{ac}], got [{rr},{rc}]");
-        let mut out = self.nodes[a.0].value.clone();
-        let rv = &self.nodes[row.0].value;
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                out.data[r * out.cols + c] += rv.data[c];
-            }
-        }
-        let needs = self.needs(a) || self.needs(row);
-        self.push(out, Op::AddRow(a, row), needs)
-    }
-
-    /// Elementwise product.
-    pub fn mul(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        assert_eq!(self.shape(a), self.shape(b), "mul shape mismatch");
-        let mut out = self.nodes[a.0].value.clone();
-        for (o, x) in out.data.iter_mut().zip(&self.nodes[b.0].value.data) {
-            *o *= x;
-        }
-        let needs = self.needs(a) || self.needs(b);
-        self.push(out, Op::Mul(a, b), needs)
-    }
-
     /// Scalar multiply.
     pub fn scale(&mut self, a: TensorId, k: f32) -> TensorId {
         let mut out = self.nodes[a.0].value.clone();
@@ -781,19 +848,22 @@ impl Graph {
         self.push(out, Op::Scale(a, k), needs)
     }
 
-    /// GELU activation (tanh approximation).
+    /// GELU activation (tanh approximation). The `tanh` of each element is
+    /// kept for the backward pass, which therefore never recomputes it.
     pub fn gelu(&mut self, a: TensorId) -> TensorId {
         let mut out = self.nodes[a.0].value.clone();
+        let mut tanh = Vec::with_capacity(out.data.len());
         for o in out.data.iter_mut() {
-            *o = gelu_fwd(*o);
+            let t = gelu_tanh(*o);
+            *o = gelu_from_tanh(*o, t);
+            tanh.push(t);
         }
         let needs = self.needs(a);
-        self.push(out, Op::Gelu(a), needs)
+        self.push(out, Op::Gelu(a, tanh), needs)
     }
 
-    /// Row-wise layer normalization (no affine; compose with `mul`/`add_row`
-    /// for gain/bias). One statistics sweep (sum + sum-of-squares fused)
-    /// and one write sweep per row.
+    /// Row-wise layer normalization (no affine). One statistics sweep
+    /// (sum + sum-of-squares fused) and one write sweep per row.
     pub fn layernorm(&mut self, a: TensorId) -> TensorId {
         let v = &self.nodes[a.0].value;
         let mut out = Matrix::zeros(v.rows, v.cols);
@@ -836,6 +906,57 @@ impl Graph {
         self.push(out, Op::Softmax(a), needs)
     }
 
+    /// Causal multi-head self-attention. `q`, `k` and `v` are `[T, d]`,
+    /// split into `heads` column blocks of `d / heads`; each head computes
+    /// `softmax(scale · q kᵀ)` with column j > row i masked, times `v`,
+    /// and the heads sit side by side in the `[T, d]` output.
+    ///
+    /// `Blocked` touches only the lower triangle (`kernels::causal_nt`,
+    /// `kernels::causal_matmul`): score tiles above the diagonal are
+    /// never computed, the scale is applied as each score is written, and
+    /// P·V and every backward sweep stop at the diagonal. `Reference` runs
+    /// the retained naive kernels over the full square, so it stays the
+    /// oracle. The terms `Blocked` skips are masked products, exactly ±0.
+    /// Every matmul sum starts at +0, so it is never −0 and adding ±0 to
+    /// it changes nothing; the softmax-backward row dot only enters as
+    /// dP − dot with dP never −0, so the sign of a zero dot cannot matter
+    /// either. Values and gradients agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the shapes differ or `heads` does not divide `d`.
+    pub fn causal_attention(
+        &mut self,
+        q: TensorId,
+        k: TensorId,
+        v: TensorId,
+        heads: usize,
+        scale: f32,
+    ) -> TensorId {
+        let (t, d) = self.shape(q);
+        assert!(self.shape(k) == (t, d) && self.shape(v) == (t, d), "attention shape mismatch");
+        assert!(heads > 0 && d % heads == 0, "{d} columns do not split into {heads} heads");
+        let (mode, hs) = (self.kernels, d / heads);
+        let mut out = Matrix::zeros(t, d);
+        let mut probs = Vec::with_capacity(heads);
+        for h in 0..heads {
+            let [qh, kh, vh] = [q, k, v].map(|id| head_cols(&self.nodes[id.0].value, h, hs));
+            let mut p = Matrix::zeros(t, t);
+            lower_nt(mode, &qh, &kh, scale, &mut p);
+            for (i, row) in p.data.chunks_exact_mut(t).enumerate() {
+                let (live, masked) = row.split_at_mut(i + 1);
+                softmax_row_inplace(live);
+                if mode == KernelMode::Reference {
+                    masked.fill(0.0);
+                }
+            }
+            set_head_cols(&mut out, h, &lower_mm(mode, &p, &vh));
+            probs.push(p);
+        }
+        let needs = self.needs(q) || self.needs(k) || self.needs(v);
+        self.push(out, Op::CausalAttention { q, k, v, scale, probs }, needs)
+    }
+
     /// Gathers rows `ids` of `table` (embedding lookup).
     pub fn gather(&mut self, table: TensorId, ids: &[usize]) -> TensorId {
         let t = &self.nodes[table.0].value;
@@ -847,19 +968,6 @@ impl Graph {
         }
         let needs = self.needs(table);
         self.push(out, Op::Gather(table, ids.to_vec()), needs)
-    }
-
-    /// Column slice `[start, start+len)`.
-    pub fn slice_cols(&mut self, a: TensorId, start: usize, len: usize) -> TensorId {
-        let v = &self.nodes[a.0].value;
-        assert!(start + len <= v.cols, "slice beyond columns");
-        let mut out = Matrix::zeros(v.rows, len);
-        for r in 0..v.rows {
-            out.data[r * len..(r + 1) * len]
-                .copy_from_slice(&v.data[r * v.cols + start..r * v.cols + start + len]);
-        }
-        let needs = self.needs(a);
-        self.push(out, Op::SliceCols(a, start, len), needs)
     }
 
     /// First `rows` rows of `a` (used to drop the final next-token row
@@ -895,26 +1003,6 @@ impl Graph {
         out.data.copy_from_slice(&v.data[..rows * cols]);
         let needs = self.needs(a);
         self.push(out, Op::SliceRows(a, rows), needs)
-    }
-
-    /// Concatenates blocks horizontally (same row count).
-    pub fn concat_cols(&mut self, parts: &[TensorId]) -> TensorId {
-        assert!(!parts.is_empty());
-        let rows = self.shape(parts[0]).0;
-        let total: usize = parts.iter().map(|p| self.shape(*p).1).sum();
-        let mut out = Matrix::zeros(rows, total);
-        let mut off = 0;
-        for &p in parts {
-            let v = &self.nodes[p.0].value;
-            assert_eq!(v.rows, rows, "concat_cols row mismatch");
-            for r in 0..rows {
-                out.data[r * total + off..r * total + off + v.cols]
-                    .copy_from_slice(&v.data[r * v.cols..(r + 1) * v.cols]);
-            }
-            off += v.cols;
-        }
-        let needs = parts.iter().any(|p| self.needs(*p));
-        self.push(out, Op::ConcatCols(parts.to_vec()), needs)
     }
 
     /// Per-row weighted cross-entropy over logits `[n, V]` against `targets`
@@ -1043,38 +1131,6 @@ impl Graph {
                 deltas.push((a, grad.clone()));
                 deltas.push((b, grad.clone()));
             }
-            Op::AddRow(a, row) => {
-                let (a, row) = (*a, *row);
-                deltas.push((a, grad.clone()));
-                if self.needs(row) {
-                    let mut dr = Matrix::zeros(1, grad.cols);
-                    for r in 0..grad.rows {
-                        for c in 0..grad.cols {
-                            dr.data[c] += grad.data[r * grad.cols + c];
-                        }
-                    }
-                    deltas.push((row, dr));
-                }
-            }
-            Op::Mul(a, b) => {
-                let (a, b) = (*a, *b);
-                if self.needs(a) {
-                    let bv = &self.nodes[b.0].value;
-                    let mut da = grad.clone();
-                    for (g, x) in da.data.iter_mut().zip(&bv.data) {
-                        *g *= x;
-                    }
-                    deltas.push((a, da));
-                }
-                if self.needs(b) {
-                    let av = &self.nodes[a.0].value;
-                    let mut db = grad.clone();
-                    for (g, x) in db.data.iter_mut().zip(&av.data) {
-                        *g *= x;
-                    }
-                    deltas.push((b, db));
-                }
-            }
             Op::Scale(a, k) => {
                 let (a, k) = (*a, *k);
                 let mut da = grad.clone();
@@ -1083,12 +1139,12 @@ impl Graph {
                 }
                 deltas.push((a, da));
             }
-            Op::Gelu(a) => {
+            Op::Gelu(a, tanh) => {
                 let a = *a;
                 let av = &self.nodes[a.0].value;
                 let mut da = grad.clone();
-                for (g, &x) in da.data.iter_mut().zip(&av.data) {
-                    *g *= gelu_bwd(x);
+                for ((g, &x), &t) in da.data.iter_mut().zip(&av.data).zip(tanh) {
+                    *g *= gelu_bwd(x, t);
                 }
                 deltas.push((a, da));
             }
@@ -1123,6 +1179,36 @@ impl Graph {
                 }
                 deltas.push((a, da));
             }
+            Op::CausalAttention { q, k, v, scale, probs } => {
+                let (q, k, v, scale) = (*q, *k, *v, *scale);
+                let (qv, kv, vv) =
+                    (&self.nodes[q.0].value, &self.nodes[k.0].value, &self.nodes[v.0].value);
+                let (t, d) = (qv.rows, qv.cols);
+                let hs = d / probs.len();
+                let [mut dq, mut dk, mut dv] = [(); 3].map(|_| Matrix::zeros(t, d));
+                for (h, p) in probs.iter().enumerate() {
+                    let [qh, kh, vh, go] = [qv, kv, vv, grad].map(|m| head_cols(m, h, hs));
+                    // O = P·V: dP = dO·Vᵀ, dV = Pᵀ·dO.
+                    let mut ds = Matrix::zeros(t, t);
+                    lower_nt(mode, &go, &vh, 1.0, &mut ds);
+                    set_head_cols(&mut dv, h, &lower_tn(mode, p, &go));
+                    // Softmax backward, then the score scale, in place.
+                    for (i, (prow, grow)) in
+                        p.data.chunks_exact(t).zip(ds.data.chunks_exact_mut(t)).enumerate()
+                    {
+                        let live = if mode == KernelMode::Reference { t } else { i + 1 };
+                        let (prow, grow) = (&prow[..live], &mut grow[..live]);
+                        let dot: f32 = prow.iter().zip(grow.iter()).map(|(s, g)| s * g).sum();
+                        for (g, &s) in grow.iter_mut().zip(prow) {
+                            *g = s * (*g - dot) * scale;
+                        }
+                    }
+                    // S = Q·Kᵀ: dQ = dS·K, dK = dSᵀ·Q.
+                    set_head_cols(&mut dq, h, &lower_mm(mode, &ds, &kh));
+                    set_head_cols(&mut dk, h, &lower_tn(mode, &ds, &qh));
+                }
+                deltas.extend([(q, dq), (k, dk), (v, dv)]);
+            }
             Op::Gather(table, ids) => {
                 let table = *table;
                 let (tr, tc) = self.shape(table);
@@ -1134,39 +1220,12 @@ impl Graph {
                 }
                 deltas.push((table, dt));
             }
-            Op::SliceCols(a, start, len) => {
-                let (a, start, len) = (*a, *start, *len);
-                let (ar, ac) = self.shape(a);
-                let mut da = Matrix::zeros(ar, ac);
-                for r in 0..ar {
-                    for c in 0..len {
-                        da.data[r * ac + start + c] = grad.data[r * len + c];
-                    }
-                }
-                deltas.push((a, da));
-            }
             Op::SliceRows(a, rows) => {
                 let (a, rows) = (*a, *rows);
                 let (ar, ac) = self.shape(a);
                 let mut da = Matrix::zeros(ar, ac);
                 da.data[..rows * ac].copy_from_slice(&grad.data);
                 deltas.push((a, da));
-            }
-            Op::ConcatCols(parts) => {
-                let mut off = 0;
-                for p in parts.clone() {
-                    let (pr, pc) = self.shape(p);
-                    if self.needs(p) {
-                        let mut dp = Matrix::zeros(pr, pc);
-                        for r in 0..pr {
-                            for c in 0..pc {
-                                dp.data[r * pc + c] = grad.data[r * grad.cols + off + c];
-                            }
-                        }
-                        deltas.push((p, dp));
-                    }
-                    off += pc;
-                }
             }
             Op::CrossEntropy { logits, targets, weights, probs } => {
                 let logits = *logits;
@@ -1191,17 +1250,77 @@ impl Graph {
     }
 }
 
+/// Columns `[h·hs, (h+1)·hs)` of `m` as a `[rows, hs]` matrix.
+fn head_cols(m: &Matrix, h: usize, hs: usize) -> Matrix {
+    let mut out = Matrix::zeros(m.rows, hs);
+    for (dst, src) in out.data.chunks_exact_mut(hs).zip(m.data.chunks_exact(m.cols)) {
+        dst.copy_from_slice(&src[h * hs..(h + 1) * hs]);
+    }
+    out
+}
+
+/// Writes `src` over columns `[h·src.cols, (h+1)·src.cols)` of `dst`.
+fn set_head_cols(dst: &mut Matrix, h: usize, src: &Matrix) {
+    let hs = src.cols;
+    for (d, s) in dst.data.chunks_exact_mut(dst.cols).zip(src.data.chunks_exact(hs)) {
+        d[h * hs..(h + 1) * hs].copy_from_slice(s);
+    }
+}
+
+/// `scale · a bᵀ` for [`Graph::causal_attention`]: the lower triangle
+/// only, or the full square under [`KernelMode::Reference`].
+fn lower_nt(mode: KernelMode, a: &Matrix, b: &Matrix, scale: f32, out: &mut Matrix) {
+    if mode == KernelMode::Reference {
+        kernels::matmul_nt_reference(a, b, out);
+        for x in out.data.iter_mut() {
+            *x *= scale;
+        }
+    } else {
+        kernels::causal_nt(a, b, scale, out);
+    }
+}
+
+/// `a · b` for a square `a` that is zero above its diagonal.
+fn lower_mm(mode: KernelMode, a: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.rows, b.cols);
+    if mode == KernelMode::Reference {
+        kernels::matmul_reference(a, b, &mut out);
+    } else {
+        kernels::causal_matmul(a, b, kernels::Triangle::Lower, &mut out);
+    }
+    out
+}
+
+/// `aᵀ · c` for a square `a` that is zero above its diagonal.
+fn lower_tn(mode: KernelMode, a: &Matrix, c: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(a.cols, c.cols);
+    if mode == KernelMode::Reference {
+        kernels::matmul_tn_reference(a, c, &mut out);
+    } else {
+        kernels::causal_matmul(&kernels::transpose(a), c, kernels::Triangle::Upper, &mut out);
+    }
+    out
+}
+
+/// `tanh(√(2/π)·(x + 0.044715·x³))`, the one transcendental GELU needs.
+fn gelu_tanh(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    (C * (x + 0.044715 * x * x * x)).tanh()
+}
+
+fn gelu_from_tanh(x: f32, t: f32) -> f32 {
+    0.5 * x * (1.0 + t)
+}
+
 /// GELU forward (tanh approximation) — shared by the graph op and the
 /// KV-cached decode path.
 pub(crate) fn gelu_fwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    gelu_from_tanh(x, gelu_tanh(x))
 }
 
-fn gelu_bwd(x: f32) -> f32 {
+/// GELU derivative at `x`, given `t` = [`gelu_tanh`]`(x)` from the forward.
+fn gelu_bwd(x: f32, t: f32) -> f32 {
     const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
     let sech2 = 1.0 - t * t;
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
 }
@@ -1245,6 +1364,10 @@ mod tests {
             })
             .collect();
         Matrix::new(rows, cols, data)
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -1360,29 +1483,35 @@ mod tests {
 
     #[test]
     fn attention_path_gradcheck() {
-        // softmax(Q Kᵀ) V with causal mask, loss = weighted CE
-        let wq = seeded(3, 3, 21);
-        let run = |wq: &Matrix| -> (f32, Matrix) {
-            let mut g = Graph::new();
-            let x = g.constant(seeded(4, 3, 22));
-            let pq = g.param(wq.clone());
-            let q = g.matmul(x, pq);
-            let scores = g.matmul_nt(q, x);
-            let scaled = g.scale(scores, 0.5773);
-            let attn = g.softmax(scaled, true);
-            let ctx = g.matmul(attn, x);
-            let loss = g.cross_entropy(ctx, &[0, 1, 2, 0], &[1.0, 1.0, 1.0, 1.0]);
-            g.backward(loss);
-            (g.value(loss).data[0], g.grad(pq))
-        };
-        let (_, analytic) = run(&wq);
-        for idx in [0usize, 4, 8] {
-            let fd = finite_diff(&wq, idx, |w| run(w).0);
-            assert!(
-                (analytic.data[idx] - fd).abs() < 2e-2 * (1.0 + fd.abs()),
-                "wq[{idx}]: analytic {} vs fd {fd}",
-                analytic.data[idx]
-            );
+        // causal_attention(x·Wq, x·Wk, x·Wv) over two heads, loss = CE,
+        // under both kernel families.
+        let ws = [seeded(4, 4, 21), seeded(4, 4, 23), seeded(4, 4, 25)];
+        for mode in [KernelMode::Blocked, KernelMode::Reference] {
+            let run = |ws: &[Matrix; 3]| -> (f32, Vec<Matrix>) {
+                let mut g = Graph::with_kernels(mode);
+                let x = g.constant(seeded(5, 4, 22));
+                let ps = ws.clone().map(|w| g.param(w));
+                let [q, k, v] = ps.map(|p| g.matmul(x, p));
+                let ctx = g.causal_attention(q, k, v, 2, 0.6);
+                let loss = g.cross_entropy(ctx, &[0, 1, 2, 3, 0], &[1.0; 5]);
+                g.backward(loss);
+                (g.value(loss).data[0], ps.iter().map(|&p| g.grad(p)).collect())
+            };
+            let (_, analytic) = run(&ws);
+            for (which, grad) in analytic.iter().enumerate() {
+                for idx in [0usize, 5, 10, 15] {
+                    let fd = finite_diff(&ws[which], idx, |w| {
+                        let mut moved = ws.clone();
+                        moved[which] = w.clone();
+                        run(&moved).0
+                    });
+                    assert!(
+                        (grad.data[idx] - fd).abs() < 2e-2 * (1.0 + fd.abs()),
+                        "{mode} w{which}[{idx}]: analytic {} vs fd {fd}",
+                        grad.data[idx]
+                    );
+                }
+            }
         }
     }
 
@@ -1405,26 +1534,6 @@ mod tests {
         // rows never gathered get zero grad
         assert_eq!(analytic.data[0], 0.0);
         assert_eq!(analytic.data[8], 0.0);
-    }
-
-    #[test]
-    fn slice_concat_roundtrip_grads() {
-        let w = seeded(2, 6, 41);
-        let run = |w: &Matrix| -> (f32, Matrix) {
-            let mut g = Graph::new();
-            let pw = g.param(w.clone());
-            let l = g.slice_cols(pw, 0, 3);
-            let r = g.slice_cols(pw, 3, 3);
-            let back = g.concat_cols(&[l, r]);
-            let loss = g.cross_entropy(back, &[0, 5], &[1.0, 2.0]);
-            g.backward(loss);
-            (g.value(loss).data[0], g.grad(pw))
-        };
-        let (_, analytic) = run(&w);
-        for idx in [0usize, 4, 9, 11] {
-            let fd = finite_diff(&w, idx, |w| run(w).0);
-            assert!((analytic.data[idx] - fd).abs() < 2e-2 * (1.0 + fd.abs()), "w[{idx}]");
-        }
     }
 
     #[test]
@@ -1634,41 +1743,71 @@ mod tests {
         }
 
         /// End-to-end backward: a full graph (matmul chains, gelu,
-        /// layernorm, attention-style nt, CE) produces bit-identical
+        /// layernorm, causal attention, CE) produces bit-identical
         /// gradients through the blocked and the reference kernels, because
         /// every kernel variant preserves per-element accumulation order.
+        /// Up to 71 rows, so attention crosses three 32-wide tiles, and
+        /// head sizes past the 16-column strip of `causal_matmul`.
         #[test]
         fn backward_kernels_agree_through_a_full_graph(
-            rows in 2usize..6, d in 2usize..10, v in 2usize..30,
+            rows in 2usize..72, heads in 1usize..4, hs in 1usize..20, v in 2usize..30,
             seed in 0u64..1_000,
         ) {
+            let d = heads * hs;
             let x = seeded(rows, d, seed);
             let w1 = seeded(d, d, seed ^ 1);
             let w2 = seeded(d, v, seed ^ 2);
+            let wk = seeded(d, d, seed ^ 3);
             let run = |mode: KernelMode| {
                 let mut g = Graph::with_kernels(mode);
                 let xi = g.constant(x.clone());
                 let p1 = g.param(w1.clone());
                 let p2 = g.param(w2.clone());
+                let pk = g.param(wk.clone());
                 let h = g.matmul(xi, p1);
                 let h = g.gelu(h);
                 let h = g.layernorm(h);
-                let scores = g.matmul_nt(h, xi);
-                let attn = g.softmax(scores, true);
-                let ctx = g.matmul(attn, xi);
+                let k = g.matmul(xi, pk);
+                let ctx = g.causal_attention(h, k, h, heads, 0.5);
                 let logits = g.matmul(ctx, p2);
                 let logits = g.slice_rows(logits, rows - 1);
                 let targets: Vec<usize> = (0..rows - 1).map(|i| i % v).collect();
                 let weights = vec![1.0f32; rows - 1];
                 let loss = g.cross_entropy(logits, &targets, &weights);
                 g.backward(loss);
-                (g.value(loss).data[0].to_bits(),
-                    g.grad(p1).data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    g.grad(p2).data.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                (g.value(loss).data[0].to_bits(), bits(&g.value(ctx).clone()),
+                    [p1, p2, pk].map(|p| bits(&g.grad(p))))
             };
             let blocked = run(KernelMode::Blocked);
             let reference = run(KernelMode::Reference);
             prop_assert_eq!(blocked, reference);
+        }
+
+        /// The triangle kernels equal the full-square reference kernels:
+        /// scores on and below the diagonal (nothing written above it),
+        /// and both products of a square that is zero above its diagonal.
+        #[test]
+        fn causal_kernels_match_the_reference_kernels(
+            t in 1usize..100, n in 1usize..40, seed in 0u64..1_000,
+        ) {
+            let a = seeded(t, n, seed);
+            let b = seeded(t, n, seed ^ 0x55);
+            let mut lower = Matrix::zeros(t, t);
+            kernels::matmul_nt_reference(&a, &b, &mut lower);
+            for (i, row) in lower.data.chunks_exact_mut(t).enumerate() {
+                row[i + 1..].fill(0.0);
+            }
+            let mut scores = Matrix::zeros(t, t);
+            kernels::causal_nt(&a, &b, 1.0, &mut scores);
+            prop_assert_eq!(bits(&scores), bits(&lower));
+            let (mut want, mut got) = (Matrix::zeros(t, n), Matrix::zeros(t, n));
+            kernels::matmul_reference(&lower, &b, &mut want);
+            kernels::causal_matmul(&lower, &b, kernels::Triangle::Lower, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
+            kernels::matmul_tn_reference(&lower, &b, &mut want);
+            let upper = kernels::transpose(&lower);
+            kernels::causal_matmul(&upper, &b, kernels::Triangle::Upper, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want));
         }
 
         /// Lane-parallel softmax: deterministic, rows sum to 1, and tight

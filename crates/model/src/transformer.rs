@@ -132,6 +132,12 @@ impl TransformerLm {
         self.kernels = mode;
     }
 
+    /// The base weight matrices, in allocation order (token and position
+    /// embeddings, then each block's q/k/v/o/ffn weights, then the head).
+    pub fn weights(&self) -> &[Matrix] {
+        &self.params
+    }
+
     /// Total parameter scalars (base weights).
     pub fn param_scalars(&self) -> usize {
         self.params.iter().map(|m| m.data.len()).sum()
@@ -270,18 +276,8 @@ impl TransformerLm {
             let q = self.linear(g, xn, l.wq, &mut trainables);
             let k = self.linear(g, xn, l.wk, &mut trainables);
             let v = self.linear(g, xn, l.wv, &mut trainables);
-            let mut head_outs = Vec::with_capacity(self.cfg.n_heads);
-            for h in 0..self.cfg.n_heads {
-                let qh = g.slice_cols(q, h * hs, hs);
-                let kh = g.slice_cols(k, h * hs, hs);
-                let vh = g.slice_cols(v, h * hs, hs);
-                let scores = g.matmul_nt(qh, kh);
-                let scaled = g.scale(scores, scale);
-                let attn = g.softmax(scaled, true);
-                head_outs.push(g.matmul(attn, vh));
-            }
-            let merged = g.concat_cols(&head_outs);
-            let proj = self.linear(g, merged, l.wo, &mut trainables);
+            let attn = g.causal_attention(q, k, v, self.cfg.n_heads, scale);
+            let proj = self.linear(g, attn, l.wo, &mut trainables);
             x = g.add(x, proj);
             let xn = g.layernorm(x);
             let h1 = self.linear(g, xn, l.w1, &mut trainables);
@@ -664,19 +660,20 @@ mod tests {
         }
     }
 
+    const TOY_PAIRS: [(&str, &str); 3] = [
+        ("an inverter", "module inv ( input a , output y ) ; assign y = ~ a ; endmodule"),
+        (
+            "an and gate",
+            "module andg ( input a , input b , output y ) ; assign y = a & b ; endmodule",
+        ),
+        (
+            "an or gate",
+            "module org ( input a , input b , output y ) ; assign y = a | b ; endmodule",
+        ),
+    ];
+
     fn toy_examples(tk: &Tokenizer) -> Vec<TrainExample> {
-        let pairs = [
-            ("an inverter", "module inv ( input a , output y ) ; assign y = ~ a ; endmodule"),
-            (
-                "an and gate",
-                "module andg ( input a , input b , output y ) ; assign y = a & b ; endmodule",
-            ),
-            (
-                "an or gate",
-                "module org ( input a , input b , output y ) ; assign y = a | b ; endmodule",
-            ),
-        ];
-        pairs
+        TOY_PAIRS
             .iter()
             .map(|(d, c)| {
                 let (ids, code_start) = tk.encode_pair(d, c);
@@ -686,15 +683,8 @@ mod tests {
     }
 
     fn toy_tokenizer() -> Tokenizer {
-        let corpus = [
-            "an inverter",
-            "an and gate",
-            "an or gate",
-            "module inv ( input a , output y ) ; assign y = ~ a ; endmodule",
-            "module andg ( input a , input b , output y ) ; assign y = a & b ; endmodule",
-            "module org ( input a , input b , output y ) ; assign y = a | b ; endmodule",
-        ];
-        Tokenizer::build(corpus.iter().copied(), 1)
+        let descs = TOY_PAIRS.iter().map(|(d, _)| *d);
+        Tokenizer::build(descs.chain(TOY_PAIRS.iter().map(|(_, c)| *c)), 1)
     }
 
     #[test]
@@ -874,9 +864,15 @@ mod tests {
     #[test]
     fn blocked_and_reference_kernels_train_identically() {
         let tk = toy_tokenizer();
-        let examples = toy_examples(&tk);
+        let mut examples = toy_examples(&tk);
+        // One sequence past three 32-wide attention tiles, clipped at 96.
+        let codes = TOY_PAIRS.map(|(_, c)| c).join(" ");
+        let (ids, code_start) = tk.encode_pair("three gates", &[codes.as_str(); 2].join(" "));
+        assert!(ids.len() > 96, "{} tokens", ids.len());
+        examples.push(TrainExample { ids, code_start, weight: 1.0 });
+        let cfg = ModelConfig { max_seq: 96, ..tiny_cfg() };
         let train = |mode: KernelMode| {
-            let mut lm = TransformerLm::new(tiny_cfg(), tk.vocab_size());
+            let mut lm = TransformerLm::new(cfg.clone(), tk.vocab_size());
             lm.set_kernels(mode);
             let mut opt = Adam::new(lm.trainable_count(), 3e-3);
             let mut losses = Vec::new();

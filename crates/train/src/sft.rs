@@ -108,6 +108,10 @@ pub(crate) fn run_phase_with_order(
     let mut last = 0.0f32;
     let mut steps = 0usize;
     let mut tokens = 0u64;
+    // An example longer than the context trains on its first `max_seq`
+    // tokens only; count those examples and the tokens cut.
+    let max_seq = lm.cfg.max_seq;
+    let (mut truncated_examples, mut truncated_tokens) = (0u64, 0u64);
     for _epoch in 0..cfg.epochs {
         for batch in examples.chunks(cfg.batch_size) {
             if let Some(loss) = lm.train_step_with(batch, &mut opt, &exec) {
@@ -117,6 +121,10 @@ pub(crate) fn run_phase_with_order(
                 last = loss;
                 steps += 1;
                 tokens += batch.iter().map(|ex| ex.ids.len() as u64).sum::<u64>();
+                for ex in batch.iter().filter(|ex| ex.ids.len() > max_seq) {
+                    truncated_examples += 1;
+                    truncated_tokens += (ex.ids.len() - max_seq) as u64;
+                }
             }
         }
     }
@@ -125,6 +133,8 @@ pub(crate) fn run_phase_with_order(
     let secs = span.stop().as_secs_f64();
     obs.counter("train.steps").add(steps as u64);
     obs.counter("train.tokens").add(tokens);
+    obs.counter("train.truncated_examples").add(truncated_examples);
+    obs.counter("train.truncated_tokens").add(truncated_tokens);
     obs.counter("train.examples").add(examples.len() as u64 * cfg.epochs as u64);
     if steps == 0 {
         obs.counter("train.zero_step_phases").inc();
@@ -199,6 +209,33 @@ mod tests {
             TrainConfig { epochs: 1, max_examples_per_phase: Some(5), ..TrainConfig::default() };
         let report = SftTrainer::run(&mut lm, &tk, &ds, &cfg);
         assert_eq!(report.phases[0].examples, 5);
+    }
+
+    #[test]
+    fn truncated_examples_and_tokens_are_counted() {
+        // A context just past the longest prompt: every example still
+        // supervises some code, and the long ones are clipped. Counters
+        // are process-global and other tests train concurrently, so
+        // compare deltas against a floor.
+        let ds = small_dataset();
+        let tk = build_tokenizer(ds.iter());
+        let examples = to_examples(ds.iter(), &tk, 1.0);
+        let max_seq = examples.iter().map(|ex| ex.code_start).max().unwrap() + 2;
+        let cut: Vec<u64> = examples
+            .iter()
+            .filter(|ex| ex.ids.len() > max_seq)
+            .map(|ex| (ex.ids.len() - max_seq) as u64)
+            .collect();
+        assert!(!cut.is_empty() && examples.len() <= 240);
+        let cfg = ModelConfig { max_seq, ..tiny_model(1).cfg };
+        let mut lm = TransformerLm::new(cfg, tk.vocab_size());
+        let counter = |name: &str| pyranet_obs::global().snapshot().counter(name).unwrap_or(0);
+        let before = (counter("train.truncated_examples"), counter("train.truncated_tokens"));
+        let cfg = TrainConfig { epochs: 1, ..TrainConfig::default() };
+        SftTrainer::run(&mut lm, &tk, &ds, &cfg);
+        let after = (counter("train.truncated_examples"), counter("train.truncated_tokens"));
+        assert!(after.0 - before.0 >= cut.len() as u64, "{before:?} -> {after:?}");
+        assert!(after.1 - before.1 >= cut.iter().sum::<u64>(), "{before:?} -> {after:?}");
     }
 
     #[test]

@@ -249,6 +249,56 @@ fn batched_sft_training_is_identical_at_any_thread_count() {
     }
 }
 
+/// Trains the CLI model shape (d_model 32, 2 layers, 4 heads, d_ff 64,
+/// max_seq 160) for three batches of eight and folds every step's loss
+/// bits, then every trained weight's bits, into one FNV-1a digest.
+fn cli_shape_training_digest(mode: pyranet::model::KernelMode) -> u64 {
+    use pyranet::model::Adam;
+    let pool = CorpusBuilder::new(14).scraped_files(150).llm_generation(false).build();
+    let ds = Pipeline::new().run(pool.samples).dataset;
+    let tk = pyranet::train::build_tokenizer(ds.iter());
+    let mut examples = pyranet::train::to_examples(ds.iter(), &tk, 1.0);
+    examples.truncate(24);
+    // Sequences past three 32-wide tiles, some clipped to max_seq.
+    assert!(examples.iter().filter(|e| e.ids.len() > 96).count() >= 4);
+    assert!(examples.iter().any(|e| e.ids.len() > 160));
+    let cfg = ModelConfig {
+        name: "pyranet-cli".into(),
+        d_model: 32,
+        n_layers: 2,
+        n_heads: 4,
+        d_ff: 64,
+        max_seq: 160,
+        learning_rate: 3e-3,
+        seed: 14,
+    };
+    let mut lm = TransformerLm::new(cfg, tk.vocab_size());
+    lm.set_kernels(mode);
+    let mut opt = Adam::new(lm.trainable_count(), 3e-3);
+    let mut h = pyranet_exec::Fnv64::new();
+    for batch in examples.chunks(8) {
+        let loss = lm.train_step(batch, &mut opt).expect("every batch supervises code");
+        h.write_u64(u64::from(loss.to_bits()));
+    }
+    for w in lm.weights() {
+        for x in &w.data {
+            h.write(&x.to_bits().to_le_bytes());
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn cli_shape_training_matches_its_pinned_digest() {
+    // Pins trained weights across changes to the training graph: any
+    // kernel or op rewrite must keep every loss and weight bit.
+    use pyranet::model::KernelMode;
+    for mode in [KernelMode::Blocked, KernelMode::Reference] {
+        let digest = cli_shape_training_digest(mode);
+        assert_eq!(format!("{digest:016x}"), "d434013c694e86a5", "{mode} training digest drifted");
+    }
+}
+
 #[test]
 fn simd_kernel_eval_is_byte_identical_to_blocked() {
     // The acceptance pin for the f32 kernel families: a `blocked` session
