@@ -5,17 +5,18 @@
 //! ```text
 //! <root>/objects/<hh>/<16-hex object id>.art   one (sample, stage) artifact
 //! <root>/tmp/<pid>-<seq>-<16-hex>              in-flight writes (crash residue)
-//! <root>/cache-manifest.json                   stage provenance (see `manifest`)
 //! ```
 //!
 //! Every entry is written to `tmp/` first and published with an atomic
 //! `rename`, so a crash mid-build never leaves a half-written object —
 //! the next run simply resumes from whatever was published. Entries are
 //! self-verifying: a header line carries the full [`StageKey`] parts and
-//! an FNV-1a checksum of the payload, and [`ArtifactStore::get`] checks
-//! all of them before trusting the payload. Any mismatch — truncation, a
-//! flipped byte, a 64-bit object-id collision — degrades to
-//! [`Lookup::Invalid`] (callers recompute), never to a wrong verdict.
+//! an FNV-1a checksum of the payload line, and the sample's source text
+//! follows the payload. [`ArtifactStore::get`] checks all of them, the
+//! source byte for byte, before trusting the payload. Any mismatch —
+//! truncation, a flipped byte, a 64-bit object-id collision, two sources
+//! with one content hash — degrades to [`Lookup::Invalid`] (callers
+//! recompute), never to a wrong verdict.
 //!
 //! The store records `cache.{hits,misses,writes,invalidated,write_errors}`
 //! counters and a `cache.lookup.seconds` histogram into the process-global
@@ -60,9 +61,9 @@ struct EntryHeader {
 /// A content-addressed artifact store rooted at one directory.
 ///
 /// Thread-safe by construction: lookups are independent file reads, and
-/// concurrent writes of the same key publish byte-identical entries (the
-/// payload is a pure function of the key), so whichever rename lands last
-/// wins without changing the stored bytes.
+/// concurrent writes of the same key and source publish byte-identical
+/// entries (the payload is a pure function of both), so whichever rename
+/// lands last wins without changing the stored bytes.
 #[derive(Debug)]
 pub struct ArtifactStore {
     root: PathBuf,
@@ -106,22 +107,18 @@ impl ArtifactStore {
         })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Published path of `key`'s entry: two-hex-digit bucket + object id.
     pub fn object_path(&self, key: &StageKey) -> PathBuf {
         let id = format_hash(key.object_id());
         self.root.join(OBJECTS_DIR).join(&id[..2]).join(format!("{id}.{ART_EXT}"))
     }
 
-    /// Looks up `key`, verifying the entry header against the key and the
-    /// payload against its checksum before decoding.
-    pub fn get<T: Deserialize>(&self, key: &StageKey) -> Lookup<T> {
+    /// Looks up `key` for the sample `source`, verifying the entry header
+    /// against the key, the stored source against `source` byte for byte,
+    /// and the payload against its checksum before decoding.
+    pub fn get<T: Deserialize>(&self, key: &StageKey, source: &str) -> Lookup<T> {
         let start = std::time::Instant::now();
-        let out = self.get_unmetered(key);
+        let out = self.get_unmetered(key, source);
         self.lookup_seconds.observe(start.elapsed().as_secs_f64());
         match &out {
             Lookup::Hit(_) => self.hits.inc(),
@@ -131,7 +128,7 @@ impl ArtifactStore {
         out
     }
 
-    fn get_unmetered<T: Deserialize>(&self, key: &StageKey) -> Lookup<T> {
+    fn get_unmetered<T: Deserialize>(&self, key: &StageKey, source: &str) -> Lookup<T> {
         let bytes = match std::fs::read(self.object_path(key)) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Lookup::Miss,
@@ -139,7 +136,17 @@ impl ArtifactStore {
             Err(_) => return Lookup::Invalid,
         };
         let Ok(text) = std::str::from_utf8(&bytes) else { return Lookup::Invalid };
-        let Some((header_line, payload)) = text.split_once('\n') else { return Lookup::Invalid };
+        let Some((header_line, rest)) = text.split_once('\n') else { return Lookup::Invalid };
+        // An entry without a source line (the first entry format) reads as
+        // invalid and is rewritten.
+        let Some((payload, stored_source)) = rest.split_once('\n') else {
+            return Lookup::Invalid;
+        };
+        // Source verification: two sources with one content hash share a
+        // slot, and only the stored text tells them apart.
+        if stored_source != source {
+            return Lookup::Invalid;
+        }
         let Ok(header) = serde_json::from_str::<EntryHeader>(header_line) else {
             return Lookup::Invalid;
         };
@@ -160,8 +167,9 @@ impl ArtifactStore {
         }
     }
 
-    /// Stores `value` under `key`: renders the checksummed entry, writes
-    /// it to `tmp/`, and publishes it with an atomic rename.
+    /// Stores `value` under `key` for the sample `source`: renders the
+    /// checksummed entry with the source after it, writes it to `tmp/`,
+    /// and publishes it with an atomic rename.
     ///
     /// The cache is advisory — callers are expected to log-and-continue on
     /// failure (the error is also counted in `cache.write_errors`).
@@ -169,8 +177,8 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Serialization and file-system failures.
-    pub fn put<T: Serialize>(&self, key: &StageKey, value: &T) -> io::Result<()> {
-        let result = self.put_inner(key, value);
+    pub fn put<T: Serialize>(&self, key: &StageKey, source: &str, value: &T) -> io::Result<()> {
+        let result = self.put_inner(key, source, value);
         match &result {
             Ok(()) => self.writes.inc(),
             Err(_) => self.write_errors.inc(),
@@ -178,7 +186,7 @@ impl ArtifactStore {
         result
     }
 
-    fn put_inner<T: Serialize>(&self, key: &StageKey, value: &T) -> io::Result<()> {
+    fn put_inner<T: Serialize>(&self, key: &StageKey, source: &str, value: &T) -> io::Result<()> {
         let payload = serde_json::to_string(value)?;
         let header = EntryHeader {
             stage: key.stage.to_owned(),
@@ -189,6 +197,8 @@ impl ArtifactStore {
         let mut entry = serde_json::to_string(&header)?;
         entry.push('\n');
         entry.push_str(&payload);
+        entry.push('\n');
+        entry.push_str(source);
 
         let id = format_hash(key.object_id());
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
@@ -233,11 +243,12 @@ mod tests {
     fn round_trip_hit() {
         let root = temp_root("rt");
         let store = ArtifactStore::open(&root).unwrap();
-        let k = key("module m; endmodule");
-        assert_eq!(store.get::<Verdict>(&k), Lookup::Miss);
+        let src = "module m; endmodule";
+        let k = key(src);
+        assert_eq!(store.get::<Verdict>(&k, src), Lookup::Miss);
         let v = Verdict { kept: true, score: 17 };
-        store.put(&k, &v).unwrap();
-        assert_eq!(store.get::<Verdict>(&k), Lookup::Hit(v));
+        store.put(&k, src, &v).unwrap();
+        assert_eq!(store.get::<Verdict>(&k, src), Lookup::Hit(v));
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -245,11 +256,13 @@ mod tests {
     fn different_content_or_config_misses() {
         let root = temp_root("keys");
         let store = ArtifactStore::open(&root).unwrap();
-        let k = key("module a; endmodule");
-        store.put(&k, &Verdict { kept: true, score: 1 }).unwrap();
-        assert_eq!(store.get::<Verdict>(&key("module b; endmodule")), Lookup::Miss);
+        let src = "module a; endmodule";
+        let k = key(src);
+        store.put(&k, src, &Verdict { kept: true, score: 1 }).unwrap();
+        let other = "module b; endmodule";
+        assert_eq!(store.get::<Verdict>(&key(other), other), Lookup::Miss);
         let other_cfg = StageKey::new("test", k.content, k.config ^ 1);
-        assert_eq!(store.get::<Verdict>(&other_cfg), Lookup::Miss);
+        assert_eq!(store.get::<Verdict>(&other_cfg, src), Lookup::Miss);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -257,17 +270,18 @@ mod tests {
     fn flipped_byte_reads_as_invalid_and_recovers_on_rewrite() {
         let root = temp_root("flip");
         let store = ArtifactStore::open(&root).unwrap();
-        let k = key("module m(input a, output y); assign y = ~a; endmodule");
+        let src = "module m(input a, output y); assign y = ~a; endmodule";
+        let k = key(src);
         let v = Verdict { kept: true, score: 20 };
-        store.put(&k, &v).unwrap();
+        store.put(&k, src, &v).unwrap();
         let path = store.object_path(&k);
         let mut bytes = std::fs::read(&path).unwrap();
-        // Flip every position in turn: header or payload, the entry must
-        // never decode to a different verdict.
+        // Flip every position in turn: header, payload or source, the
+        // entry must never decode to a different verdict.
         for pos in 0..bytes.len() {
             bytes[pos] ^= 0x20;
             std::fs::write(&path, &bytes).unwrap();
-            let got = store.get::<Verdict>(&k);
+            let got = store.get::<Verdict>(&k, src);
             assert!(
                 got == Lookup::Invalid || got == Lookup::Hit(v.clone()),
                 "pos {pos}: corrupted entry decoded to {got:?}"
@@ -276,9 +290,9 @@ mod tests {
         }
         // Recompute-and-rewrite heals the slot.
         std::fs::write(&path, b"garbage").unwrap();
-        assert_eq!(store.get::<Verdict>(&k), Lookup::Invalid);
-        store.put(&k, &v).unwrap();
-        assert_eq!(store.get::<Verdict>(&k), Lookup::Hit(v));
+        assert_eq!(store.get::<Verdict>(&k, src), Lookup::Invalid);
+        store.put(&k, src, &v).unwrap();
+        assert_eq!(store.get::<Verdict>(&k, src), Lookup::Hit(v));
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -286,13 +300,16 @@ mod tests {
     fn truncation_is_invalid() {
         let root = temp_root("trunc");
         let store = ArtifactStore::open(&root).unwrap();
-        let k = key("module t; endmodule");
-        store.put(&k, &Verdict { kept: false, score: 0 }).unwrap();
+        let src = "module t; endmodule";
+        let k = key(src);
+        store.put(&k, src, &Verdict { kept: false, score: 0 }).unwrap();
         let path = store.object_path(&k);
         let bytes = std::fs::read(&path).unwrap();
-        for keep in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+        // `len - src.len() - 1` keeps header and payload: the first entry
+        // format, which stored no source.
+        for keep in [0, 1, bytes.len() / 2, bytes.len() - src.len() - 1, bytes.len() - 1] {
             std::fs::write(&path, &bytes[..keep]).unwrap();
-            assert_eq!(store.get::<Verdict>(&k), Lookup::Invalid, "kept {keep} bytes");
+            assert_eq!(store.get::<Verdict>(&k, src), Lookup::Invalid, "kept {keep} bytes");
         }
         std::fs::remove_dir_all(&root).ok();
     }
@@ -303,13 +320,13 @@ mod tests {
         // sitting in key B's slot must verify-fail, not decode.
         let root = temp_root("collide");
         let store = ArtifactStore::open(&root).unwrap();
-        let a = key("module a; endmodule");
-        let b = key("module b; endmodule");
-        store.put(&a, &Verdict { kept: true, score: 9 }).unwrap();
+        let (a_src, b_src) = ("module a; endmodule", "module b; endmodule");
+        let (a, b) = (key(a_src), key(b_src));
+        store.put(&a, a_src, &Verdict { kept: true, score: 9 }).unwrap();
         let b_path = store.object_path(&b);
         std::fs::create_dir_all(b_path.parent().unwrap()).unwrap();
         std::fs::copy(store.object_path(&a), &b_path).unwrap();
-        assert_eq!(store.get::<Verdict>(&b), Lookup::Invalid);
+        assert_eq!(store.get::<Verdict>(&b, b_src), Lookup::Invalid);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -317,8 +334,9 @@ mod tests {
     fn reopen_sweeps_tmp_residue_and_keeps_objects() {
         let root = temp_root("sweep");
         let store = ArtifactStore::open(&root).unwrap();
-        let k = key("module s; endmodule");
-        store.put(&k, &Verdict { kept: true, score: 3 }).unwrap();
+        let src = "module s; endmodule";
+        let k = key(src);
+        store.put(&k, src, &Verdict { kept: true, score: 3 }).unwrap();
         // A crashed run leaves a half-written tmp file behind.
         std::fs::write(root.join(TMP_DIR).join("12345-0-deadbeef"), b"partial").unwrap();
         drop(store);
@@ -329,7 +347,7 @@ mod tests {
             "tmp residue swept on open"
         );
         assert_eq!(
-            store.get::<Verdict>(&k),
+            store.get::<Verdict>(&k, src),
             Lookup::Hit(Verdict { kept: true, score: 3 }),
             "published objects survive reopen"
         );

@@ -5,13 +5,14 @@
 //! * **stage name** — which pipeline stage produced the artifact;
 //! * **content hash** — FNV-1a 64 of the sample bytes the stage consumed;
 //! * **config fingerprint** — FNV-1a 64 over the stage's knobs
-//!   ([`Fingerprint`]), so changing a knob (jaccard threshold, sim mode,
-//!   rank-judge version) invalidates exactly the stages that read it.
+//!   ([`Fingerprint`]), so changing a knob (sim mode, rank-judge version)
+//!   invalidates exactly the stages that read it.
 //!
 //! The three parts fold into one 64-bit object id that names the on-disk
-//! entry. A 64-bit id can collide in principle, so the store writes all
-//! three parts into the entry header and verifies them on read — a
-//! collision degrades to a cache miss (recompute), never a wrong verdict.
+//! entry. A 64-bit id or content hash can collide in principle, so the
+//! store writes all three parts and the source text into the entry and
+//! verifies them on read — a collision degrades to a recompute, never a
+//! wrong verdict.
 
 pub use pyranet_exec::{fnv1a64 as hash_bytes, Fnv64};
 
@@ -145,7 +146,7 @@ mod tests {
         let k = StageKey::new("syntax_rank", 1, 2);
         assert_ne!(k.object_id(), StageKey::new("syntax_rank", 1, 3).object_id());
         assert_ne!(k.object_id(), StageKey::new("syntax_rank", 2, 2).object_id());
-        assert_ne!(k.object_id(), StageKey::new("dedup_sig", 1, 2).object_id());
+        assert_ne!(k.object_id(), StageKey::new("dedup_join", 1, 2).object_id());
         assert_eq!(k.object_id(), StageKey::new("syntax_rank", 1, 2).object_id());
     }
 

@@ -1,24 +1,11 @@
-//! Stage provenance for a cache root.
+//! Stage provenance for the dataset shard `manifest.json`.
 //!
-//! The [`CacheManifest`] sits next to `objects/` and records, per stage,
-//! the artifact-format version and config fingerprint the store was last
-//! written with. It is informational plus a fast staleness signal: keys
-//! already embed the fingerprint, so a knob change makes old entries
-//! unreachable whether or not the manifest is rewritten — but the
-//! manifest lets tools (and the shard `manifest.json`, which embeds the
-//! same [`StageProvenance`] records) report *which* stage configuration
-//! produced a dataset.
+//! Each [`StageProvenance`] record names a stage, its artifact-format
+//! version and the config fingerprint its verdicts are keyed under, so a
+//! dataset directory carries which pipeline configuration produced it.
 
 use crate::hasher::format_hash;
 use serde::{Deserialize, Serialize};
-use std::io;
-use std::path::Path;
-
-/// File name of the manifest inside a cache root.
-pub const CACHE_MANIFEST_FILE: &str = "cache-manifest.json";
-
-/// Manifest format version; bump on incompatible layout changes.
-pub const CACHE_FORMAT_VERSION: u32 = 1;
 
 /// One stage's provenance: name, artifact-format version, and the config
 /// fingerprint (16 hex digits) its artifacts are keyed under.
@@ -36,98 +23,13 @@ impl StageProvenance {
     }
 }
 
-/// The cache root's provenance manifest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheManifest {
-    pub format_version: u32,
-    pub stages: Vec<StageProvenance>,
-}
-
-impl CacheManifest {
-    /// A manifest over the given stage records.
-    pub fn new(stages: Vec<StageProvenance>) -> CacheManifest {
-        CacheManifest { format_version: CACHE_FORMAT_VERSION, stages }
-    }
-
-    /// Writes the manifest atomically (tmp + rename) into `root`.
-    ///
-    /// # Errors
-    ///
-    /// Serialization and file-system failures.
-    pub fn save(&self, root: &Path) -> io::Result<()> {
-        let text = serde_json::to_string_pretty(self)?;
-        let tmp = root.join(format!("{CACHE_MANIFEST_FILE}.tmp-{}", std::process::id()));
-        std::fs::write(&tmp, text.as_bytes())?;
-        std::fs::rename(&tmp, root.join(CACHE_MANIFEST_FILE))?;
-        Ok(())
-    }
-
-    /// Loads the manifest from `root`; `Ok(None)` when absent (fresh
-    /// root) or unreadable/incompatible (the store still works — keys
-    /// self-invalidate — so a bad manifest is not fatal).
-    pub fn load(root: &Path) -> io::Result<Option<CacheManifest>> {
-        let path = root.join(CACHE_MANIFEST_FILE);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        match serde_json::from_str::<CacheManifest>(&text) {
-            Ok(m) if m.format_version == CACHE_FORMAT_VERSION => Ok(Some(m)),
-            _ => Ok(None),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn temp_root(tag: &str) -> PathBuf {
-        static N: AtomicUsize = AtomicUsize::new(0);
-        let n = N.fetch_add(1, Ordering::SeqCst);
-        let root =
-            std::env::temp_dir().join(format!("pyranet-manifest-{tag}-{}-{n}", std::process::id()));
-        std::fs::create_dir_all(&root).unwrap();
-        root
-    }
-
-    #[test]
-    fn save_load_round_trip() {
-        let root = temp_root("rt");
-        let m = CacheManifest::new(vec![
-            StageProvenance::new("broken", 1, 0xdead_beef),
-            StageProvenance::new("syntax_rank", 1, 0x1234),
-        ]);
-        m.save(&root).unwrap();
-        assert_eq!(CacheManifest::load(&root).unwrap(), Some(m));
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn absent_or_garbage_manifest_loads_as_none() {
-        let root = temp_root("none");
-        assert_eq!(CacheManifest::load(&root).unwrap(), None);
-        std::fs::write(root.join(CACHE_MANIFEST_FILE), b"not json").unwrap();
-        assert_eq!(CacheManifest::load(&root).unwrap(), None);
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn wrong_format_version_loads_as_none() {
-        let root = temp_root("ver");
-        let mut m = CacheManifest::new(vec![]);
-        m.format_version = CACHE_FORMAT_VERSION + 1;
-        m.save(&root).unwrap();
-        assert_eq!(CacheManifest::load(&root).unwrap(), None);
-        std::fs::remove_dir_all(&root).ok();
-    }
 
     #[test]
     fn fingerprint_renders_as_hex() {
-        let p = StageProvenance::new("dedup_sig", 2, 0xaf);
+        let p = StageProvenance::new("syntax_rank", 2, 0xaf);
         assert_eq!(p.fingerprint, "00000000000000af");
         assert_eq!(p.version, 2);
     }

@@ -647,16 +647,12 @@ enum Op {
     Leaf,
     /// (a, b): C = A · B
     MatMul(TensorId, TensorId),
-    /// (a, b): C = A · Bᵀ
-    MatMulNt(TensorId, TensorId),
     Add(TensorId, TensorId),
     Scale(TensorId, f32),
     /// GELU; caches the forward `tanh` of every element.
     Gelu(TensorId, Vec<f32>),
     /// Row-wise layer norm; caches (mean, rstd) per row.
     LayerNorm(TensorId, Vec<(f32, f32)>),
-    /// Row-wise softmax with optional causal mask (applied in forward).
-    Softmax(TensorId),
     /// Causal multi-head attention; caches each head's `[T, T]`
     /// probabilities (zero above the diagonal).
     CausalAttention {
@@ -726,11 +722,11 @@ pub(crate) fn online_max_expsum(row: &[f32]) -> (f32, f32) {
 /// Fused in-place row softmax: one read-only [`online_max_expsum`] sweep,
 /// one write sweep fusing the exponential with the reciprocal scale.
 ///
-/// This is the **single** softmax implementation shared by the graph op
-/// ([`Graph::softmax`]) and the KV-cached decode path
-/// (`pyranet_model::decode`), so the two can never drift apart — they are
-/// bit-identical by construction, and the shared unit test pins the
-/// numerics.
+/// This is the **single** softmax implementation shared by the causal
+/// attention op ([`Graph::causal_attention`]) and the KV-cached decode
+/// path (`pyranet_model::decode`), so the two can never drift apart —
+/// they are bit-identical by construction, and the shared unit test pins
+/// the numerics.
 pub fn softmax_row_inplace(row: &mut [f32]) {
     let (max, denom) = online_max_expsum(row);
     let inv = 1.0 / denom;
@@ -812,21 +808,6 @@ impl Graph {
         self.push(out, Op::MatMul(a, b), needs)
     }
 
-    /// `A · Bᵀ`.
-    pub fn matmul_nt(&mut self, a: TensorId, b: TensorId) -> TensorId {
-        let (ar, ac) = self.shape(a);
-        let (br, bc) = self.shape(b);
-        assert_eq!(ac, bc, "matmul_nt inner dims {ac} vs {bc}");
-        let mut out = Matrix::zeros(ar, br);
-        {
-            let av = &self.nodes[a.0].value;
-            let bv = &self.nodes[b.0].value;
-            kernels::matmul_nt_into(self.kernels, av, bv, &mut out);
-        }
-        let needs = self.needs(a) || self.needs(b);
-        self.push(out, Op::MatMulNt(a, b), needs)
-    }
-
     /// Elementwise sum (same shape).
     pub fn add(&mut self, a: TensorId, b: TensorId) -> TensorId {
         assert_eq!(self.shape(a), self.shape(b), "add shape mismatch");
@@ -886,24 +867,6 @@ impl Graph {
         }
         let needs = self.needs(a);
         self.push(out, Op::LayerNorm(a, stats), needs)
-    }
-
-    /// Row-wise softmax. `causal` masks column j > row i with -inf first
-    /// (for square attention score matrices). Uses the online normalizer:
-    /// one read-only sweep for (max, denom), one write sweep fusing the
-    /// exponential with the reciprocal scale.
-    pub fn softmax(&mut self, a: TensorId, causal: bool) -> TensorId {
-        let v = &self.nodes[a.0].value;
-        let mut out = Matrix::zeros(v.rows, v.cols);
-        for r in 0..v.rows {
-            let limit = if causal { (r + 1).min(v.cols) } else { v.cols };
-            let dst = &mut out.data[r * v.cols..r * v.cols + limit];
-            dst.copy_from_slice(&v.data[r * v.cols..r * v.cols + limit]);
-            softmax_row_inplace(dst);
-            // masked entries stay exactly 0
-        }
-        let needs = self.needs(a);
-        self.push(out, Op::Softmax(a), needs)
     }
 
     /// Causal multi-head self-attention. `q`, `k` and `v` are `[T, d]`,
@@ -1110,22 +1073,6 @@ impl Graph {
                     deltas.push((b, db));
                 }
             }
-            Op::MatMulNt(a, b) => {
-                let (a, b) = (*a, *b);
-                let av = &self.nodes[a.0].value;
-                let bv = &self.nodes[b.0].value;
-                // C = A Bᵀ: dA = dC · B ; dB = dCᵀ · A
-                if self.needs(a) {
-                    let mut da = Matrix::zeros(av.rows, av.cols);
-                    kernels::matmul_into(mode, grad, bv, &mut da);
-                    deltas.push((a, da));
-                }
-                if self.needs(b) {
-                    let mut db = Matrix::zeros(bv.rows, bv.cols);
-                    kernels::matmul_tn_into(mode, grad, av, &mut db);
-                    deltas.push((b, db));
-                }
-            }
             Op::Add(a, b) => {
                 let (a, b) = (*a, *b);
                 deltas.push((a, grad.clone()));
@@ -1161,20 +1108,6 @@ impl Graph {
                     for c in 0..av.cols {
                         let xhat = (xs[c] - mean) * rstd;
                         da.data[r * av.cols + c] = rstd * (gs[c] - sum_g / n - xhat * sum_gx / n);
-                    }
-                }
-                deltas.push((a, da));
-            }
-            Op::Softmax(a) => {
-                let a = *a;
-                let sv = &self.nodes[i].value;
-                let mut da = Matrix::zeros(sv.rows, sv.cols);
-                for r in 0..sv.rows {
-                    let srow = &sv.data[r * sv.cols..(r + 1) * sv.cols];
-                    let grow = &grad.data[r * sv.cols..(r + 1) * sv.cols];
-                    let dot: f32 = srow.iter().zip(grow).map(|(s, g)| s * g).sum();
-                    for c in 0..sv.cols {
-                        da.data[r * sv.cols + c] = srow[c] * (grow[c] - dot);
                     }
                 }
                 deltas.push((a, da));
@@ -1372,29 +1305,48 @@ mod tests {
 
     #[test]
     fn shared_softmax_matches_graph_softmax_bitwise() {
-        // `softmax_row_inplace` is the one softmax both the graph op and
-        // the decode fast path use; pin that the graph op really routes
-        // through it (bit-identical rows) and that it behaves.
-        let m = seeded(5, 9, 42);
-        let mut g = Graph::with_kernels(KernelMode::Blocked);
-        let a = g.constant(m.clone());
-        let s = g.softmax(a, false);
-        let graph_rows = g.value(s).clone();
-        for r in 0..m.rows {
-            let mut row = m.data[r * m.cols..(r + 1) * m.cols].to_vec();
-            softmax_row_inplace(&mut row);
-            let graph_row = &graph_rows.data[r * m.cols..(r + 1) * m.cols];
-            let ours: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
-            let theirs: Vec<u32> = graph_row.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(ours, theirs, "row {r} diverged");
-            let sum: f32 = row.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
-            assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
+        // `softmax_row_inplace` is the one softmax both the graph's causal
+        // attention op and the decode fast path use; pin that the op
+        // really routes through it (bit-identical rows). With `k` the
+        // identity and scale 1 the scores are exactly `q`, so row i's
+        // probabilities are the shared softmax of `q[i, ..=i]`, and every
+        // masked entry stays exactly 0.
+        let t = 9;
+        let q = seeded(t, t, 42);
+        let mut eye = Matrix::zeros(t, t);
+        for i in 0..t {
+            eye.data[i * t + i] = 1.0;
+        }
+        for mode in [KernelMode::Blocked, KernelMode::Reference] {
+            let mut g = Graph::with_kernels(mode);
+            let (iq, ik, iv) =
+                (g.constant(q.clone()), g.constant(eye.clone()), g.constant(eye.clone()));
+            let s = g.causal_attention(iq, ik, iv, 1, 1.0);
+            let Op::CausalAttention { probs, .. } = &g.nodes[s.0].op else {
+                panic!("causal_attention recorded another op");
+            };
+            for (r, graph_row) in probs[0].data.chunks_exact(t).enumerate() {
+                let mut row = q.data[r * t..r * t + r + 1].to_vec();
+                softmax_row_inplace(&mut row);
+                let ours: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+                let theirs: Vec<u32> = graph_row[..=r].iter().map(|x| x.to_bits()).collect();
+                assert_eq!(ours, theirs, "{mode}: row {r} diverged");
+                assert!(graph_row[r + 1..].iter().all(|&p| p == 0.0), "{mode}: row {r} leaks");
+            }
         }
     }
 
     #[test]
     fn shared_softmax_handles_extreme_rows() {
+        // Every row sums to one with each entry a probability.
+        let m = seeded(5, 9, 42);
+        for (r, row) in m.data.chunks_exact(m.cols).enumerate() {
+            let mut row = row.to_vec();
+            softmax_row_inplace(&mut row);
+            let sum: f32 = row.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
+            assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
+        }
         let mut row = vec![1000.0f32, 0.0, -1000.0];
         softmax_row_inplace(&mut row);
         assert!((row[0] - 1.0).abs() < 1e-6, "{row:?}");
@@ -1410,25 +1362,6 @@ mod tests {
         let b = g.constant(Matrix::new(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]));
         let c = g.matmul(a, b);
         assert_eq!(g.value(c).data, vec![58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_nt_matches_matmul_with_transpose() {
-        let a = seeded(3, 4, 1);
-        let b = seeded(5, 4, 2);
-        let mut bt = Matrix::zeros(4, 5);
-        for r in 0..5 {
-            for c in 0..4 {
-                bt.data[c * 5 + r] = b.data[r * 4 + c];
-            }
-        }
-        let mut g = Graph::new();
-        let (ia, ib, ibt) = (g.constant(a), g.constant(b), g.constant(bt));
-        let c1 = g.matmul_nt(ia, ib);
-        let c2 = g.matmul(ia, ibt);
-        for (x, y) in g.value(c1).data.iter().zip(&g.value(c2).data) {
-            assert!((x - y).abs() < 1e-5);
-        }
     }
 
     /// One scalar loss used for gradient checking: weighted CE over a tiny
@@ -1563,21 +1496,6 @@ mod tests {
         let a = g.constant(seeded(3, 2, 44));
         let s = g.slice_rows(a, 3);
         assert_eq!(s, a);
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one_and_causal_masks() {
-        let mut g = Graph::new();
-        let a = g.constant(seeded(4, 4, 51));
-        let s = g.softmax(a, true);
-        let v = g.value(s);
-        for r in 0..4 {
-            let sum: f32 = (0..4).map(|c| v.at(r, c)).sum();
-            assert!((sum - 1.0).abs() < 1e-5, "row {r} sums to {sum}");
-            for c in (r + 1)..4 {
-                assert_eq!(v.at(r, c), 0.0, "causal mask leak at [{r},{c}]");
-            }
-        }
     }
 
     #[test]

@@ -13,20 +13,18 @@
 //! semantics match the naive algorithm (up to MinHash recall, covered by
 //! the banding parameters and tested against brute force below).
 
-use crate::incremental::DedupSigArtifact;
 use pyranet_corpus::RawSample;
 use pyranet_exec::{par_map_ref, splitmix64_mix, ExecConfig};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// Number of MinHash permutations.
-pub(crate) const NUM_HASHES: usize = 64;
+const NUM_HASHES: usize = 64;
 /// LSH bands (NUM_HASHES / BANDS rows per band).
-pub(crate) const BANDS: usize = 16;
+const BANDS: usize = 16;
 
 /// Tokenizes a source into the shingle set used for Jaccard similarity,
-/// as a sorted, deduplicated vector — the one shape the set takes, whether
-/// computed here or read back from the artifact cache.
+/// as a sorted, deduplicated vector, so Jaccard is a merge.
 ///
 /// Tokens are word-level (identifiers, numbers, operators collapse to
 /// single chars); 3-gram shingles make the measure order-sensitive enough
@@ -110,11 +108,17 @@ pub fn minhash(shingles: &[u64]) -> [u64; NUM_HASHES] {
 }
 
 /// A sample's dedup signature: its shingle set plus the MinHash signature
-/// of that set.
-pub(crate) fn signature(source: &str) -> DedupSigArtifact {
+/// of that set. The shingle set rides along because the LSH join verifies
+/// candidate pairs with *exact* Jaccard, not the signature estimate.
+struct Signature {
+    shingles: Vec<u64>,
+    sig: [u64; NUM_HASHES],
+}
+
+fn signature(source: &str) -> Signature {
     let shingles = shingles(source);
     let sig = minhash(&shingles);
-    DedupSigArtifact { shingles, sig }
+    Signature { shingles, sig }
 }
 
 /// Removes near-duplicates, keeping the earliest (lowest-index) member of
@@ -132,28 +136,14 @@ pub fn dedup(pool: Vec<RawSample>, threshold: f64) -> Vec<RawSample> {
 /// earliest-representative-wins semantics exactly. The survivor set is
 /// therefore identical at any thread count.
 pub fn dedup_with(pool: Vec<RawSample>, threshold: f64, exec: &ExecConfig) -> Vec<RawSample> {
-    dedup_by(pool, threshold, exec, signature)
-}
-
-/// Stage 3's one path: a signature per sample from `sign` (which the
-/// pipeline memoizes in the artifact cache), then the LSH join over all of
-/// them, then the survivors in input order.
-pub(crate) fn dedup_by(
-    pool: Vec<RawSample>,
-    threshold: f64,
-    exec: &ExecConfig,
-    sign: impl Fn(&str) -> DedupSigArtifact + Sync,
-) -> Vec<RawSample> {
-    let sigs = par_map_ref(exec, &pool, |s| sign(&s.source));
+    let sigs = par_map_ref(exec, &pool, |s| signature(&s.source));
     let dead = lsh_sweep(&sigs, threshold);
     pool.into_iter().zip(dead).filter(|(_, d)| !*d).map(|(s, _)| s).collect()
 }
 
 /// The cross-sample LSH join: bands the signatures, verifies candidate
-/// pairs with exact Jaccard, and returns which samples die. A sample's
-/// duplicate verdict depends on every *other* sample, so this sweep
-/// re-runs on every build, cached signatures or not.
-fn lsh_sweep(sigs: &[DedupSigArtifact], threshold: f64) -> Vec<bool> {
+/// pairs with exact Jaccard, and returns which samples die.
+fn lsh_sweep(sigs: &[Signature], threshold: f64) -> Vec<bool> {
     // Collect every banding candidate pair, then verify them in ascending
     // (i, j) order — the exact sweep order of the naive algorithm. Bucket
     // iteration order (a per-process `HashMap` artifact) therefore cannot

@@ -1,7 +1,6 @@
 //! Cheap early filters (paper §III-A.2, first two bullets).
 
 use pyranet_corpus::RawSample;
-use pyranet_exec::{par_map_ref, ExecConfig};
 
 /// True when a file would fail the "empty/broken" filter: empty,
 /// whitespace-only, or containing control/non-ASCII bytes our lexer can
@@ -26,26 +25,20 @@ pub fn has_module_decl(source: &str) -> bool {
 
 /// Stage 1: removes empty/broken files. Returns survivors and reject count.
 pub fn filter_broken(pool: Vec<RawSample>) -> (Vec<RawSample>, usize) {
-    split(pool, &ExecConfig::new(), is_broken)
+    split(pool, is_broken)
 }
 
 /// Stage 2: removes files without a module declaration.
 pub fn filter_no_module(pool: Vec<RawSample>) -> (Vec<RawSample>, usize) {
-    split(pool, &ExecConfig::new(), |src| !has_module_decl(src))
+    split(pool, |src| !has_module_decl(src))
 }
 
-/// The survivor/reject split behind stages 1 and 2: `rejects` judges each
-/// sample's source (the pipeline's judge memoizes its verdicts in the
-/// artifact cache) and the survivors keep their input order.
-pub(crate) fn split(
-    pool: Vec<RawSample>,
-    exec: &ExecConfig,
-    rejects: impl Fn(&str) -> bool + Sync,
-) -> (Vec<RawSample>, usize) {
-    let verdicts = par_map_ref(exec, &pool, |s| rejects(&s.source));
+/// The survivor/reject split behind stages 1 and 2, one sequential pass:
+/// the whole stage costs well under a millisecond on a CLI-sized pool,
+/// less than spawning workers would. Survivors keep their input order.
+fn split(pool: Vec<RawSample>, rejects: impl Fn(&str) -> bool) -> (Vec<RawSample>, usize) {
     let before = pool.len();
-    let alive: Vec<RawSample> =
-        pool.into_iter().zip(verdicts).filter(|(_, rejected)| !rejected).map(|(s, _)| s).collect();
+    let alive: Vec<RawSample> = pool.into_iter().filter(|s| !rejects(&s.source)).collect();
     let rejected = before - alive.len();
     (alive, rejected)
 }

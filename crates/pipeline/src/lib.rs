@@ -24,7 +24,7 @@
 //! the result, with curriculum-ordered iteration and JSONL persistence;
 //! [`persist`] adds sharded, manifest-indexed, checksum-verified exports.
 //! [`erroneous`] implements the Table IV label-shuffling ablation.
-//! [`incremental`] memoizes each stage's per-sample verdicts when a cache
+//! [`incremental`] memoizes stage 4's per-sample verdicts when a cache
 //! directory is set, inside the one curation path, [`Pipeline::run`].
 //!
 //! # Example
@@ -57,11 +57,8 @@ pub use pyranet_cache::StageProvenance;
 pub use rank::{rank_sample, Rank, RANK_JUDGE_VERSION};
 pub use stats::Funnel;
 
-use incremental::{
-    memo, CurationArtifact, FilterArtifact, STAGE_BROKEN, STAGE_DEDUP_SIG, STAGE_NO_MODULE,
-    STAGE_SYNTAX_RANK,
-};
-use pyranet_cache::{ArtifactStore, CacheManifest};
+use incremental::{memo, CurationArtifact};
+use pyranet_cache::ArtifactStore;
 use pyranet_corpus::RawSample;
 use pyranet_exec::{par_map, ExecConfig};
 use pyranet_verilog::metrics::ComplexityTier;
@@ -84,11 +81,11 @@ pub struct Pipeline {
     /// output byte-for-byte.
     pub sim_check: Option<SimMode>,
     /// Opt-in incremental cache root ([`Pipeline::cache_dir`]). When set,
-    /// per-sample stage verdicts are read from / written to a
-    /// content-addressed store under this directory, so a rebuild pays
-    /// recompute only for samples whose content (or whose stage's config)
-    /// changed. `None` (the default) runs every stage from scratch. The
-    /// curated output is byte-identical either way.
+    /// stage 4's per-sample verdicts are read from / written to a
+    /// content-addressed store under this directory, so a rebuild parses
+    /// only the samples whose content (or whose stage config) changed.
+    /// `None` (the default) runs every stage from scratch. The curated
+    /// output is byte-identical either way.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -127,10 +124,11 @@ impl Pipeline {
 
     /// Runs the full curation pipeline over a raw pool.
     ///
-    /// Each stage is written once and reaches the optional artifact store
-    /// through [`incremental`]'s memo, so cached and uncached runs execute
-    /// the same code. Each stage's wall time is its `pipeline.stage.*`
-    /// span; the funnel is mirrored into `pipeline.funnel.*` counters.
+    /// Each stage is written once; stage 4 reaches the optional artifact
+    /// store through [`incremental`]'s memo, so cached and uncached runs
+    /// execute the same code. Each stage's wall time is its
+    /// `pipeline.stage.*` span; the funnel is mirrored into
+    /// `pipeline.funnel.*` counters.
     pub fn run(&self, pool: Vec<RawSample>) -> PipelineOutcome {
         let obs = pyranet_obs::global();
         let run_span = obs.span("pipeline.run");
@@ -138,42 +136,21 @@ impl Pipeline {
         let mut funnel = Funnel { collected: pool.len(), ..Funnel::default() };
         let fingerprints = StageFingerprints::derive(self.jaccard_threshold, self.sim_check);
 
-        // Open the incremental store if requested. Failure degrades to an
-        // uncached run — caching can only change speed, never output.
-        let store: Option<ArtifactStore> = self.cache_dir.as_deref().and_then(|dir| {
-            ArtifactStore::open(dir).map_err(|_| obs.counter("cache.open_errors").inc()).ok()
-        });
-        let store = store.as_ref();
-
-        // Stages 1–2: the cheap filters, one memoized verdict per sample.
-        let filter_stage = |pool, stage, fingerprint, rejects: fn(&str) -> bool| {
-            filter::split(pool, &exec, |src| {
-                memo(store, stage, fingerprint, src, || FilterArtifact { rejected: rejects(src) })
-                    .rejected
-            })
-        };
+        // Stages 1–2: the cheap filters.
         let span = obs.span("pipeline.stage.broken");
-        let (alive, rejected) =
-            filter_stage(pool, STAGE_BROKEN, fingerprints.broken, filter::is_broken);
+        let (alive, rejected) = filter::filter_broken(pool);
         funnel.rejected_broken = rejected;
         drop(span);
 
         let span = obs.span("pipeline.stage.no_module");
-        let (alive, rejected) =
-            filter_stage(alive, STAGE_NO_MODULE, fingerprints.no_module, |src| {
-                !filter::has_module_decl(src)
-            });
+        let (alive, rejected) = filter::filter_no_module(alive);
         funnel.rejected_no_module = rejected;
         drop(span);
 
-        // Stage 3: dedup. Per-sample signatures are memoized; the
-        // cross-sample LSH join re-runs on every build (see `incremental`
-        // for why it cannot be cached per sample).
+        // Stage 3: dedup, signatures fanned out across the executor.
         let span = obs.span("pipeline.stage.dedup");
         let before = alive.len();
-        let alive = dedup::dedup_by(alive, self.jaccard_threshold, &exec, |src| {
-            memo(store, STAGE_DEDUP_SIG, fingerprints.dedup_sig, src, || dedup::signature(src))
-        });
+        let alive = dedup::dedup_with(alive, self.jaccard_threshold, &exec);
         funnel.rejected_duplicates = before - alive.len();
         drop(span);
 
@@ -181,13 +158,17 @@ impl Pipeline {
         // survivor, fanned out across the executor. Each verdict is a pure
         // function of the sample's source, so par_map's determinism
         // contract makes the outcome thread-count-independent — with or
-        // without the cache, whose lookups are content-keyed.
+        // without the cache, whose lookups are content-keyed. An
+        // unopenable store degrades to an uncached run: caching can only
+        // change speed, never output.
         let span = obs.span("pipeline.stage.syntax_rank");
+        let store: Option<ArtifactStore> = self.cache_dir.as_deref().and_then(|dir| {
+            ArtifactStore::open(dir).map_err(|_| obs.counter("cache.open_errors").inc()).ok()
+        });
         let verdicts = par_map(&exec, alive, |s| {
-            let verdict =
-                memo(store, STAGE_SYNTAX_RANK, fingerprints.syntax_rank, &s.source, || {
-                    curate(&s.source, self.sim_check)
-                });
+            let verdict = memo(store.as_ref(), fingerprints.syntax_rank, &s.source, || {
+                curate(&s.source, self.sim_check)
+            });
             (s, verdict)
         });
         let mut dataset = PyraNetDataset::default();
@@ -223,15 +204,8 @@ impl Pipeline {
         ] {
             obs.counter(&format!("pipeline.funnel.{name}")).add(count as u64);
         }
-        // Record stage provenance. With a live store, also persist it at
-        // the cache root so tools can see what configuration the store
-        // holds (advisory — keys self-invalidate regardless).
-        let provenance = fingerprints.provenance();
-        if let Some(store) = store {
-            CacheManifest::new(provenance.clone()).save(store.root()).ok();
-        }
         drop(run_span);
-        PipelineOutcome { dataset, funnel, provenance }
+        PipelineOutcome { dataset, funnel, provenance: fingerprints.provenance() }
     }
 }
 

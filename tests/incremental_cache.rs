@@ -166,6 +166,27 @@ fn knob_changes_produce_the_same_output_as_uncached_runs() {
     std::fs::remove_dir_all(&cache).ok();
 }
 
+#[test]
+fn a_cold_build_stores_one_object_per_stage_4_input_at_any_thread_count() {
+    // Only stage 4 reaches the store, and dedup survivors all differ in
+    // content, so a cold build publishes one object per stage-4 input and
+    // no thread count can make two workers race on one key.
+    let base = pool(59, 220);
+    for threads in THREAD_COUNTS {
+        let cache = temp_dir("objects");
+        let outcome = Pipeline::new().threads(threads).cache_dir(cache.clone()).run(base.clone());
+        let f = &outcome.funnel;
+        let objects: usize = std::fs::read_dir(cache.join("objects"))
+            .expect("objects dir")
+            .map(|bucket| {
+                std::fs::read_dir(bucket.expect("bucket").path()).expect("bucket").count()
+            })
+            .sum();
+        assert_eq!(objects, f.curated + f.rejected_syntax + f.rejected_sim, "threads {threads}");
+        std::fs::remove_dir_all(&cache).ok();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
