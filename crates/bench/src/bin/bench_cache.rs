@@ -1,5 +1,5 @@
 //! Incremental-rebuild benchmark: cold vs warm vs 1%-mutated pipeline
-//! runs against a content-addressed artifact cache, written to
+//! runs against the stage-4 verdict store, written to
 //! `BENCH_cache.json`.
 //!
 //! The cache contract (tests/incremental_cache.rs) says the store is
@@ -91,13 +91,13 @@ fn copy_dir(from: &Path, to: &Path) {
         if entry.file_type().expect("file type").is_dir() {
             copy_dir(&entry.path(), &target);
         } else {
-            std::fs::copy(entry.path(), &target).expect("copy artifact");
+            std::fs::copy(entry.path(), &target).expect("copy store file");
         }
     }
 }
 
 /// Prepends a comment to ~1% of the pool — enough to dirty the mutated
-/// samples' artifacts while everything else stays cache-hot.
+/// samples' verdicts while everything else stays cache-hot.
 fn mutate_one_percent(pool: &[RawSample]) -> (Vec<RawSample>, usize) {
     let step = pool.len().min(100);
     let mut mutated = pool.to_vec();
@@ -163,7 +163,7 @@ fn main() {
     eprintln!("warm: {warm_speedup:.2}x uncached");
 
     // Mutated: ~1% of samples edited; each repeat reseeds from the
-    // golden store so the mutated artifacts are never pre-warmed.
+    // golden store so the mutated verdicts are never pre-warmed.
     let mutated = scenario("mutated", &mutated_pool, Some(&scratch), 0, || {
         clear(&scratch);
         copy_dir(&golden, &scratch);
@@ -177,7 +177,7 @@ fn main() {
 
     // Mutated-then-reverted: the scratch store has now seen both
     // generations; running the original pool again must reproduce the
-    // reference digest from the surviving original artifacts.
+    // reference digest from the surviving original records.
     let reverted = scenario("mutated_then_reverted", &pool, Some(&scratch), 0, || {});
     assert_eq!(reverted.digest, reference, "reverted run must be byte-identical to the reference");
     assert_all_hits("mutated_then_reverted", &reverted.counts, inputs);

@@ -312,10 +312,10 @@ fn cmd_build(args: &[String]) -> Result<(), String> {
         return Err("--shard-size only applies to sharded output; add --out-dir".into());
     }
     if let Some(dir) = &cache_dir {
-        // Pre-open to surface an unusable cache root as a clear CLI error;
-        // the pipeline itself degrades silently to an uncached run.
-        pyranet_cache::ArtifactStore::open(std::path::Path::new(dir))
-            .map_err(|e| format!("cannot open cache dir {dir}: {e}"))?;
+        // Create the cache root up front to surface an unusable one as a
+        // clear CLI error; the pipeline itself degrades silently to an
+        // uncached run.
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot open cache dir {dir}: {e}"))?;
     }
     let built = PyraNetBuilder::new(BuildOptions {
         scraped_files: files,

@@ -172,8 +172,8 @@ pub fn stream_seed_str(master: u64, stream: &str) -> u64 {
 }
 
 /// Streaming FNV-1a 64-bit hasher — the one stable, platform-independent
-/// hash behind shard checksums, cache keys, RNG stream keys and the serve
-/// prefix cache. Streaming lets keys be derived over several fields
+/// hash behind shard and verdict-record checksums, stage config
+/// fingerprints, RNG stream keys and the serve prefix cache. Streaming lets keys be derived over several fields
 /// without concatenating buffers.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv64 {
@@ -305,6 +305,14 @@ mod tests {
         let cfg = ExecConfig::new().threads(MAX_THREADS + 1);
         assert_eq!(cfg.effective_threads(), MAX_THREADS);
         assert_eq!(cfg.requested_threads(), MAX_THREADS + 1);
+    }
+
+    #[test]
+    fn fnv_streaming_equals_one_shot() {
+        let mut h = Fnv64::new();
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
     }
 
     #[test]

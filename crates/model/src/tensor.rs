@@ -53,11 +53,6 @@ impl Matrix {
     pub fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.cols + c]
     }
-
-    /// Mutable element access.
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f32 {
-        &mut self.data[r * self.cols + c]
-    }
 }
 
 /// Which kernel family the graph ops (and the decode engine) dispatch to.

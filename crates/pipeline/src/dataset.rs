@@ -75,11 +75,6 @@ impl PyraNetDataset {
         counts
     }
 
-    /// Per-(layer, tier) count.
-    pub fn count_in(&self, layer: Layer, tier: ComplexityTier) -> usize {
-        self.samples.iter().filter(|s| s.layer == layer && s.tier == tier).count()
-    }
-
     /// The PyraNet curriculum order (paper §III-B.2): layers visited apex →
     /// base; inside each layer, complexity Basic → Intermediate → Advanced →
     /// Expert. Ties keep insertion order (stable).

@@ -24,8 +24,9 @@
 //! the result, with curriculum-ordered iteration and JSONL persistence;
 //! [`persist`] adds sharded, manifest-indexed, checksum-verified exports.
 //! [`erroneous`] implements the Table IV label-shuffling ablation.
-//! [`incremental`] memoizes stage 4's per-sample verdicts when a cache
-//! directory is set, inside the one curation path, [`Pipeline::run`].
+//! [`incremental`] memoizes stage 4's per-sample verdicts in one record
+//! file when a cache directory is set, inside the one curation path,
+//! [`Pipeline::run`].
 //!
 //! # Example
 //!
@@ -52,15 +53,13 @@ pub mod stats;
 pub use dataset::{CuratedSample, PyraNetDataset};
 pub use incremental::StageFingerprints;
 pub use layers::Layer;
-pub use persist::{ExportMeta, ShardManifest, ShardSpec, ShardStream};
-pub use pyranet_cache::StageProvenance;
+pub use persist::{ExportMeta, ShardManifest, ShardSpec, StageProvenance};
 pub use rank::{rank_sample, Rank, RANK_JUDGE_VERSION};
 pub use stats::Funnel;
 
 use incremental::{memo, CurationArtifact};
-use pyranet_cache::ArtifactStore;
 use pyranet_corpus::RawSample;
-use pyranet_exec::{par_map, ExecConfig};
+use pyranet_exec::ExecConfig;
 use pyranet_verilog::metrics::ComplexityTier;
 use pyranet_verilog::{check_file, parse, SimDesign, SimMode, SyntaxVerdict};
 use std::path::PathBuf;
@@ -81,9 +80,9 @@ pub struct Pipeline {
     /// output byte-for-byte.
     pub sim_check: Option<SimMode>,
     /// Opt-in incremental cache root ([`Pipeline::cache_dir`]). When set,
-    /// stage 4's per-sample verdicts are read from / written to a
-    /// content-addressed store under this directory, so a rebuild parses
-    /// only the samples whose content (or whose stage config) changed.
+    /// stage 4's per-sample verdicts are read from / written to a record
+    /// file under this directory, so a rebuild parses only the samples
+    /// whose content (or whose stage config) changed.
     /// `None` (the default) runs every stage from scratch. The curated
     /// output is byte-identical either way.
     pub cache_dir: Option<PathBuf>,
@@ -113,7 +112,7 @@ impl Pipeline {
         self
     }
 
-    /// Enables the incremental artifact cache rooted at `dir` (created on
+    /// Enables the incremental verdict cache rooted at `dir` (created on
     /// first use). An unopenable store degrades to an uncached run
     /// (counted in `cache.open_errors`) — caching is a performance knob,
     /// never a correctness gate.
@@ -124,9 +123,9 @@ impl Pipeline {
 
     /// Runs the full curation pipeline over a raw pool.
     ///
-    /// Each stage is written once; stage 4 reaches the optional artifact
-    /// store through [`incremental`]'s memo, so cached and uncached runs
-    /// execute the same code. Each stage's wall time is its
+    /// Each stage is written once; stage 4 runs through [`incremental`]'s
+    /// memo, which reaches the optional record file, so cached and
+    /// uncached runs execute the same code. Each stage's wall time is its
     /// `pipeline.stage.*` span; the funnel is mirrored into
     /// `pipeline.funnel.*` counters.
     pub fn run(&self, pool: Vec<RawSample>) -> PipelineOutcome {
@@ -158,19 +157,12 @@ impl Pipeline {
         // survivor, fanned out across the executor. Each verdict is a pure
         // function of the sample's source, so par_map's determinism
         // contract makes the outcome thread-count-independent — with or
-        // without the cache, whose lookups are content-keyed. An
-        // unopenable store degrades to an uncached run: caching can only
-        // change speed, never output.
+        // without the cache, whose lookups are keyed by the source text.
         let span = obs.span("pipeline.stage.syntax_rank");
-        let store: Option<ArtifactStore> = self.cache_dir.as_deref().and_then(|dir| {
-            ArtifactStore::open(dir).map_err(|_| obs.counter("cache.open_errors").inc()).ok()
-        });
-        let verdicts = par_map(&exec, alive, |s| {
-            let verdict = memo(store.as_ref(), fingerprints.syntax_rank, &s.source, || {
-                curate(&s.source, self.sim_check)
+        let verdicts =
+            memo(self.cache_dir.as_deref(), fingerprints.syntax_rank, &exec, alive, |source| {
+                curate(source, self.sim_check)
             });
-            (s, verdict)
-        });
         let mut dataset = PyraNetDataset::default();
         for (s, verdict) in verdicts {
             match verdict {

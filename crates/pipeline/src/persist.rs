@@ -27,11 +27,11 @@
 use crate::dataset::{parse_jsonl_line, CuratedSample, PyraNetDataset};
 use crate::layers::Layer;
 use crate::stats::Funnel;
-use pyranet_cache::StageProvenance;
 use pyranet_exec::{par_map, ExecConfig};
 use serde::{Deserialize, Serialize};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File name of the shard index inside an export directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
@@ -85,6 +85,27 @@ pub struct ShardManifest {
     pub provenance: Vec<StageProvenance>,
     /// Shards in import order.
     pub shards: Vec<ShardEntry>,
+}
+
+/// One stage's provenance: name, artifact-format version, and the config
+/// fingerprint (16 hex digits) its verdicts are keyed under (see
+/// [`crate::incremental`]).
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StageProvenance {
+    pub stage: String,
+    pub version: u32,
+    pub fingerprint: String,
+}
+
+impl StageProvenance {
+    /// Builds a record from a stage's raw fingerprint value.
+    pub fn new(stage: &str, version: u32, fingerprint: u64) -> StageProvenance {
+        StageProvenance {
+            stage: stage.to_owned(),
+            version,
+            fingerprint: format_checksum(fingerprint),
+        }
+    }
 }
 
 /// Run metadata an exporter can embed into the shard manifest.
@@ -292,13 +313,9 @@ impl PyraNetDataset {
 
 /// Reads and verifies one shard: byte size first (cheap truncation check),
 /// then the FNV-1a checksum, then line-by-line parsing with `file:line`
-/// error context, then the sample count.
-///
-/// # Errors
-///
-/// I/O failures and any mismatch with the manifest entry; every message
-/// names the shard file.
-pub fn read_shard(dir: &Path, entry: &ShardEntry) -> io::Result<Vec<CuratedSample>> {
+/// error context, then the sample count. Every error names the shard
+/// file.
+fn read_shard(dir: &Path, entry: &ShardEntry) -> io::Result<Vec<CuratedSample>> {
     let path = dir.join(&entry.file);
     let bytes = std::fs::read(&path)
         .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", entry.file)))?;
@@ -377,55 +394,30 @@ pub fn load_dataset(path: &Path, exec: &ExecConfig) -> io::Result<PyraNetDataset
     Ok(ds)
 }
 
-/// Sequential shard-by-shard reader: verifies and yields one shard's
-/// samples at a time, so consumers (e.g. the training data loader) hold at
-/// most one shard in memory instead of the whole dataset.
-#[derive(Debug)]
-pub struct ShardStream {
-    dir: PathBuf,
-    manifest: ShardManifest,
-    next: usize,
-}
-
-impl ShardStream {
-    /// Opens a sharded export directory for streaming.
-    ///
-    /// # Errors
-    ///
-    /// Manifest I/O and validation failures (shards are only touched as
-    /// they are streamed).
-    pub fn open(dir: &Path) -> io::Result<ShardStream> {
-        Ok(ShardStream { dir: dir.to_path_buf(), manifest: ShardManifest::load(dir)?, next: 0 })
-    }
-
-    /// The manifest read at open time.
-    pub fn manifest(&self) -> &ShardManifest {
-        &self.manifest
-    }
-
-    /// Reads, verifies, and returns the next shard's samples; `None` after
-    /// the last shard.
-    pub fn next_shard(&mut self) -> Option<io::Result<Vec<CuratedSample>>> {
-        let entry = self.manifest.shards.get(self.next)?;
-        self.next += 1;
-        Some(read_shard(&self.dir, entry))
-    }
-}
-
-impl Iterator for ShardStream {
-    type Item = io::Result<Vec<CuratedSample>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_shard()
-    }
-}
-
 /// Creates/truncates `path`, writes `bytes`, and flushes explicitly so
 /// short writes surface as errors instead of being swallowed by `Drop`.
 fn write_flushed(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(bytes)?;
     file.flush()
+}
+
+/// Replaces `path` with `bytes` atomically: writes a sibling tmp file
+/// named for this process and write, flush-checked, then renames it over
+/// `path`. A writer killed mid-write leaves `path` as it was (plus, at
+/// worst, its tmp file); concurrent writers never share a tmp file, and
+/// the last rename wins.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let seq = WRITES.fetch_add(1, Ordering::Relaxed);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}-{seq}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = write_flushed(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    written
 }
 
 #[cfg(test)]
@@ -436,7 +428,8 @@ mod tests {
     use pyranet_verilog::metrics::ComplexityTier;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::path::PathBuf;
+    use std::sync::atomic::AtomicUsize;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static N: AtomicUsize = AtomicUsize::new(0);
@@ -605,20 +598,33 @@ mod tests {
     }
 
     #[test]
-    fn shard_stream_yields_manifest_order() {
-        let ds = random_dataset(8, 33);
-        let dir = temp_dir("stream");
-        let manifest = ds.to_shards(&dir, ShardSpec::MaxSamples(10), &ExecConfig::new()).unwrap();
-        let mut stream = ShardStream::open(&dir).unwrap();
-        assert_eq!(stream.manifest(), &manifest);
-        let mut streamed = PyraNetDataset::new();
-        let mut shards = 0;
-        while let Some(shard) = stream.next_shard() {
-            streamed.extend(shard.unwrap());
-            shards += 1;
+    fn format_checksum_is_16_hex() {
+        assert_eq!(format_checksum(0), "0000000000000000");
+        assert_eq!(format_checksum(u64::MAX), "ffffffffffffffff");
+    }
+
+    #[test]
+    fn fingerprint_renders_as_hex() {
+        let p = StageProvenance::new("syntax_rank", 2, 0xaf);
+        assert_eq!(p.fingerprint, "00000000000000af");
+        assert_eq!(p.version, 2);
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_tmp() {
+        let dir = temp_dir("atomic");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("store.records");
+        for bytes in [&b"first"[..], b"second, longer", b""] {
+            write_atomic(&path, bytes).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
         }
-        assert_eq!(shards, manifest.shards.len());
-        assert_eq!(streamed, ds);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1, "tmp files left behind");
+        // A rename that fails (over a non-empty directory) removes its tmp.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir_all(blocked.join("inside")).unwrap();
+        assert!(write_atomic(&blocked, b"y").is_err());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2, "tmp files left behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -44,32 +44,6 @@ where
     samples.into_iter().map(|s| to_example(s, tk, weight)).collect()
 }
 
-/// Streams a sharded dataset export (see `pyranet_pipeline::persist`)
-/// shard by shard, converting each shard's samples into training examples
-/// as it goes. At most one shard's samples are alive at a time, so a
-/// dataset far larger than memory can feed training as long as its
-/// *examples* fit — the ceiling drops from "whole corpus as JSONL +
-/// parsed samples + examples" to "examples + one shard".
-///
-/// Each shard is checksum-verified on read; corruption aborts the load
-/// with the offending file named rather than training on damaged data.
-///
-/// # Errors
-///
-/// Manifest/shard I/O failures and integrity mismatches.
-pub fn to_examples_from_shards(
-    dir: &std::path::Path,
-    tk: &Tokenizer,
-    weight: f32,
-) -> std::io::Result<Vec<TrainExample>> {
-    let mut stream = pyranet_pipeline::ShardStream::open(dir)?;
-    let mut out = Vec::with_capacity(stream.manifest().total_samples as usize);
-    while let Some(shard) = stream.next_shard() {
-        out.extend(to_examples(shard?.iter(), tk, weight));
-    }
-    Ok(out)
-}
-
 /// Deterministic Fisher–Yates shuffle driven by a seed (kept here so all
 /// trainers share identical shuffling semantics).
 pub fn shuffle_examples(examples: &mut [TrainExample], seed: u64) {
@@ -116,39 +90,6 @@ mod tests {
             assert!(ex.code_start > 1);
             assert_eq!(ex.ids[0], pyranet_model::tokenizer::BOS);
         }
-    }
-
-    #[test]
-    fn sharded_streaming_matches_materialized_examples() {
-        use pyranet_pipeline::{PyraNetDataset, ShardSpec};
-        let samples: Vec<CuratedSample> = (0..25).map(sample).collect();
-        let ds: PyraNetDataset = samples.iter().cloned().collect();
-        let tk = build_tokenizer(samples.iter());
-        let dir = std::env::temp_dir().join(format!("pyranet-train-shards-{}", std::process::id()));
-        ds.to_shards(&dir, ShardSpec::MaxSamples(7), &pyranet_exec::ExecConfig::new()).unwrap();
-        let direct = to_examples(samples.iter(), &tk, 0.8);
-        let streamed = to_examples_from_shards(&dir, &tk, 0.8).unwrap();
-        assert_eq!(direct, streamed);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_streaming_propagates_integrity_failures() {
-        use pyranet_pipeline::{PyraNetDataset, ShardSpec};
-        let samples: Vec<CuratedSample> = (0..10).map(sample).collect();
-        let ds: PyraNetDataset = samples.iter().cloned().collect();
-        let tk = build_tokenizer(samples.iter());
-        let dir =
-            std::env::temp_dir().join(format!("pyranet-train-badshards-{}", std::process::id()));
-        let manifest =
-            ds.to_shards(&dir, ShardSpec::MaxSamples(4), &pyranet_exec::ExecConfig::new()).unwrap();
-        let victim = dir.join(&manifest.shards[1].file);
-        let mut bytes = std::fs::read(&victim).unwrap();
-        bytes[0] ^= 0x01;
-        std::fs::write(&victim, &bytes).unwrap();
-        let err = to_examples_from_shards(&dir, &tk, 1.0).unwrap_err();
-        assert!(err.to_string().contains(&manifest.shards[1].file), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

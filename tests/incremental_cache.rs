@@ -1,16 +1,17 @@
-//! Incremental ≡ from-scratch: the content-addressed curation cache must
-//! be invisible in the output. A warm `cache_dir` rebuild — after any
-//! corpus mutation, at any thread count — produces a byte-identical
-//! curated dataset to a cold, uncached run; corrupted artifacts degrade
-//! to recompute, never to a wrong verdict.
+//! Incremental ≡ from-scratch: the curation cache must be invisible in
+//! the output. A warm `cache_dir` rebuild — after any corpus mutation, at
+//! any thread count — produces a byte-identical curated dataset to a
+//! cold, uncached run; a damaged store degrades to recompute, never to a
+//! wrong verdict.
 
 use proptest::prelude::*;
 use pyranet::corpus::{CorpusBuilder, RawSample};
 use pyranet::pipeline::persist::{fnv1a64, format_checksum};
 use pyranet::pipeline::Pipeline;
+use pyranet_exec::Fnv64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -27,6 +28,34 @@ fn dataset_digest(ds: &pyranet::PyraNetDataset) -> String {
     let mut buf = Vec::new();
     ds.to_jsonl(&mut buf).expect("serialize dataset");
     format_checksum(fnv1a64(&buf))
+}
+
+/// The cache dir's one store file: its path and bytes.
+fn store_file(cache: &Path) -> (PathBuf, Vec<u8>) {
+    let files: Vec<PathBuf> = std::fs::read_dir(cache)
+        .expect("cache dir")
+        .map(|entry| entry.expect("entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "records"))
+        .collect();
+    assert_eq!(files.len(), 1, "one store file: {files:?}");
+    let bytes = std::fs::read(&files[0]).expect("read store");
+    (files[0].clone(), bytes)
+}
+
+/// Counts a store's records by walking their headers: `<checksum>
+/// <payload bytes> <source bytes>`, then the payload and the source, each
+/// on its own line.
+fn record_count(mut bytes: &[u8]) -> usize {
+    let mut records = 0;
+    while !bytes.is_empty() {
+        let eol = bytes.iter().position(|&b| b == b'\n').expect("header line");
+        let header = std::str::from_utf8(&bytes[..eol]).expect("ASCII header");
+        let lens: Vec<usize> =
+            header.split(' ').skip(1).map(|f| f.parse().expect("length")).collect();
+        bytes = &bytes[eol + lens[0] + lens[1] + 3..];
+        records += 1;
+    }
+    records
 }
 
 /// A synthetic scraped pool (no LLM generation, for speed).
@@ -109,39 +138,37 @@ fn mutated_then_reverted_corpus_reuses_the_original_artifacts() {
 
 #[test]
 fn corrupted_artifacts_degrade_to_recompute_never_a_wrong_verdict() {
-    let base = pool(47, 150);
-    let cache = temp_dir("corrupt");
+    // A handful of real samples keeps a sweep over every byte affordable.
+    let base: Vec<RawSample> = pool(47, 150).into_iter().take(6).collect();
     let reference = Pipeline::new().run(base.clone());
     let want = dataset_digest(&reference.dataset);
-    assert_eq!(
-        dataset_digest(&Pipeline::new().cache_dir(cache.clone()).run(base.clone()).dataset),
-        want,
-        "populate"
-    );
+    let cache = temp_dir("corrupt");
+    let build = || Pipeline::new().cache_dir(cache.clone()).run(base.clone());
+    assert_eq!(dataset_digest(&build().dataset), want, "populate");
+    let (path, good) = store_file(&cache);
+    let stored = record_count(&good);
+    assert!(stored >= 2, "the store must hold records after a populate run");
 
-    // Flip one byte in every stored artifact (header and payload lines
-    // alike, position varies per file).
-    let objects = cache.join("objects");
-    let mut corrupted = 0usize;
-    for bucket in std::fs::read_dir(&objects).expect("objects dir") {
-        for entry in std::fs::read_dir(bucket.expect("bucket").path()).expect("bucket dir") {
-            let path = entry.expect("entry").path();
-            let mut bytes = std::fs::read(&path).expect("read artifact");
-            let pos = (fnv1a64(path.as_os_str().as_encoded_bytes()) as usize) % bytes.len();
-            bytes[pos] ^= 0x11;
-            std::fs::write(&path, &bytes).expect("rewrite artifact");
-            corrupted += 1;
-        }
+    // Flip every byte (header, lengths, payload and source alike), then
+    // separately cut the store at every byte. Each damaged store must
+    // build the reference bytes, and the build after that recompute must
+    // be all hits, which leaves the store as it found it.
+    let flips = (0..good.len()).map(|pos| {
+        let mut bytes = good.clone();
+        bytes[pos] ^= 0x11;
+        (format!("byte {pos} flipped"), bytes)
+    });
+    let cuts = (0..good.len()).map(|keep| (format!("cut at {keep}"), good[..keep].to_vec()));
+    for (what, damaged) in flips.chain(cuts) {
+        std::fs::write(&path, &damaged).expect("damage the store");
+        let outcome = build();
+        assert_eq!(dataset_digest(&outcome.dataset), want, "{what}: wrong output");
+        assert_eq!(outcome.funnel, reference.funnel, "{what}");
+        let healed = std::fs::read(&path).expect("read store");
+        assert_eq!(record_count(&healed), stored, "{what}: healed store");
+        assert_eq!(dataset_digest(&build().dataset), want, "{what}: rebuild");
+        assert_eq!(std::fs::read(&path).expect("read store"), healed, "{what}: rebuild missed");
     }
-    assert!(corrupted > 0, "the store must hold artifacts after a populate run");
-
-    // Every lookup now fails verification; the build recomputes and still
-    // produces the reference bytes — and heals the store for a third run.
-    let outcome = Pipeline::new().cache_dir(cache.clone()).run(base.clone());
-    assert_eq!(dataset_digest(&outcome.dataset), want, "corrupted store must recompute");
-    assert_eq!(outcome.funnel, reference.funnel);
-    let healed = Pipeline::new().cache_dir(cache.clone()).run(base.clone());
-    assert_eq!(dataset_digest(&healed.dataset), want, "store heals after recompute");
     std::fs::remove_dir_all(&cache).ok();
 }
 
@@ -167,23 +194,80 @@ fn knob_changes_produce_the_same_output_as_uncached_runs() {
 }
 
 #[test]
-fn a_cold_build_stores_one_object_per_stage_4_input_at_any_thread_count() {
+fn cold_store_holds_one_record_per_stage_4_input_at_any_thread_count() {
     // Only stage 4 reaches the store, and dedup survivors all differ in
-    // content, so a cold build publishes one object per stage-4 input and
-    // no thread count can make two workers race on one key.
+    // content, so a cold build writes one record per stage-4 input, in
+    // input order at any thread count. A warm rebuild is all hits and
+    // writes nothing.
     let base = pool(59, 220);
+    let mut stores = Vec::new();
     for threads in THREAD_COUNTS {
-        let cache = temp_dir("objects");
-        let outcome = Pipeline::new().threads(threads).cache_dir(cache.clone()).run(base.clone());
-        let f = &outcome.funnel;
-        let objects: usize = std::fs::read_dir(cache.join("objects"))
-            .expect("objects dir")
-            .map(|bucket| {
-                std::fs::read_dir(bucket.expect("bucket").path()).expect("bucket").count()
-            })
-            .sum();
-        assert_eq!(objects, f.curated + f.rejected_syntax + f.rejected_sim, "threads {threads}");
+        let cache = temp_dir("records");
+        let build = || Pipeline::new().threads(threads).cache_dir(cache.clone()).run(base.clone());
+        let f = build().funnel;
+        let (path, cold) = store_file(&cache);
+        let inputs = f.curated + f.rejected_syntax + f.rejected_sim;
+        assert_eq!(record_count(&cold), inputs, "threads {threads}");
+        build();
+        assert_eq!(
+            std::fs::read(&path).expect("read store"),
+            cold,
+            "threads {threads}: warm wrote"
+        );
+        stores.push(cold);
         std::fs::remove_dir_all(&cache).ok();
+    }
+    assert!(stores.windows(2).all(|w| w[0] == w[1]), "store bytes depend on the thread count");
+}
+
+/// Writes one verdict entry the way the per-verdict object store did:
+/// a JSON header with the key and the payload checksum, the payload line,
+/// then the source, at `objects/<hh>/<object id>.art`.
+fn object_store_entry(cache: &Path, source: &str, payload: &str) {
+    let hex = |v: u64| format!("{v:016x}");
+    let (content, config) = (fnv1a64(source.as_bytes()), 0xaade_f66b_657c_4379);
+    let mut id = Fnv64::new();
+    id.write(b"syntax_rank");
+    id.write_u64(content);
+    id.write_u64(config);
+    let id = hex(id.finish());
+    let header = format!(
+        r#"{{"stage":"syntax_rank","content":"{}","config":"{}","checksum":"{}"}}"#,
+        hex(content),
+        hex(config),
+        hex(fnv1a64(payload.as_bytes()))
+    );
+    let bucket = cache.join("objects").join(&id[..2]);
+    std::fs::create_dir_all(&bucket).expect("bucket");
+    std::fs::write(bucket.join(format!("{id}.art")), format!("{header}\n{payload}\n{source}"))
+        .expect("write object");
+}
+
+#[test]
+fn a_cache_dir_left_by_the_object_store_builds_cold() {
+    // The earlier layout — one object per verdict under `objects/<hh>/`,
+    // crash residue in `tmp/` — is ignored, even where its entries claim
+    // that every curated sample failed its syntax check: the build equals
+    // the uncached one and stores exactly what a cold build into an empty
+    // dir stores.
+    let base = pool(61, 120);
+    let reference = Pipeline::new().run(base.clone());
+    let empty = temp_dir("empty");
+    Pipeline::new().cache_dir(empty.clone()).run(base.clone());
+    let (_, cold) = store_file(&empty);
+
+    let old = temp_dir("object-store");
+    for sample in reference.dataset.iter() {
+        object_store_entry(&old, &sample.source, "\"Syntax\"");
+    }
+    std::fs::create_dir_all(old.join("tmp")).expect("tmp dir");
+    std::fs::write(old.join("tmp").join("4242-0-00000000000000af"), b"partial").expect("residue");
+    let outcome = Pipeline::new().cache_dir(old.clone()).run(base.clone());
+    assert_eq!(dataset_digest(&outcome.dataset), dataset_digest(&reference.dataset));
+    assert_eq!(outcome.funnel, reference.funnel);
+    assert_eq!(store_file(&old).1, cold, "the build must miss and store like a cold one");
+    for dir in [empty, old] {
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
