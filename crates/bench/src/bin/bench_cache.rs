@@ -9,7 +9,9 @@
 //! and warm runs at 1/2/8 threads (`warm/threads=<n>`), must all produce
 //! the FNV digest of the `uncached` run. Every row records its digest as
 //! a label and its `cache.*` counter deltas as counts; speedups are over
-//! `uncached`. At every scale the counts are asserted against stage 4's
+//! `uncached` (auto threads), except that each `warm/threads=<n>` row's is
+//! over an `uncached/threads=<n>` row timed at the same thread count. At
+//! every scale the counts are asserted against stage 4's
 //! inputs, the only samples whose verdicts the store holds: a cold build
 //! has 0 hits and one miss and one write per input, a warm build one hit
 //! per input and no miss, and the mutated build writes what it misses.
@@ -184,13 +186,18 @@ fn main() {
     let reverted = report.push(reverted.row);
     eprintln!("reverted: {:.2}x uncached", reverted.speedup().unwrap_or(0.0));
 
-    // Thread sweep: warm digests and counts at 1/2/8 threads all match.
+    // Thread sweep: at 1/2/8 threads, an uncached run and a warm run
+    // measured against it; digests and warm counts all match.
     for threads in THREAD_SWEEP {
+        let base = format!("uncached/threads={threads}");
+        let uncached = scenario(&base, &pool, None, threads, || {});
+        assert_eq!(uncached.digest, reference, "{base}: uncached digest drifted");
+        report.push(uncached.row);
         let name = format!("warm/threads={threads}");
         let warm = scenario(&name, &pool, Some(&store), threads, || {});
         assert_eq!(warm.digest, reference, "{name}: warm digest drifted");
         assert_all_hits(&name, &warm.counts, inputs);
-        report.push(warm.row);
+        report.push(warm.row.baseline(base));
     }
     eprintln!("thread sweep {THREAD_SWEEP:?}: digests and counts identical");
 

@@ -116,12 +116,14 @@ pub fn apply_syntax_defect_checked(source: &str, defect: SyntaxDefect) -> Inject
                 keep -= 1;
             }
             let mut out = source[..keep].to_owned();
-            // In a multi-module file the 2/3 point can land exactly on a
-            // module boundary, leaving a parseable prefix (at worst a
-            // dependency issue, not a syntax error). Re-cut just before the
-            // prefix's final `endmodule` so the last module is left open.
-            if out.trim_end().ends_with("endmodule") {
-                if let Some(pos) = out.rfind("endmodule") {
+            // In a multi-module file the 2/3 point can land on a module
+            // boundary or in the blank and `//` comment lines after one,
+            // leaving a parseable prefix (at worst a dependency issue, not
+            // a syntax error). Re-cut just before the prefix's final
+            // `endmodule` so the last module is left open.
+            if let Some(pos) = out.rfind("endmodule") {
+                let after = &out[pos + "endmodule".len()..];
+                if after.lines().map(str::trim).all(|l| l.is_empty() || l.starts_with("//")) {
                     out.truncate(pos);
                 }
             }
@@ -304,6 +306,25 @@ mod tests {
             assert!(
                 matches!(v, SyntaxVerdict::SyntaxError { .. }),
                 "pad={pad} produced {v:?}:\n{}",
+                inj.source
+            );
+        }
+    }
+
+    #[test]
+    fn truncate_breaks_a_cut_in_the_trailing_comment_lines() {
+        // Sweep the 2/3 cut point through the blank and `//` lines after
+        // the last module: re-cutting only when the prefix ended in
+        // `endmodule` kept two whole modules there, which parse.
+        let mods = "module a(output y);\n  assign y = 1;\nendmodule // a\n\n\
+                    module b(output z);\n  assign z = 0;\nendmodule\n";
+        for notes in 1..12 {
+            let src = format!("{mods}\n{}", "// revision note\n".repeat(notes));
+            let inj = apply_syntax_defect_checked(&src, SyntaxDefect::Truncate);
+            let v = check_source(&inj.source);
+            assert!(
+                matches!(v, SyntaxVerdict::SyntaxError { .. }),
+                "notes={notes} produced {v:?}:\n{}",
                 inj.source
             );
         }

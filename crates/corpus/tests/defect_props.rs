@@ -113,3 +113,27 @@ proptest! {
         prop_assert_eq!(inj.mutated, inj.source != src);
     }
 }
+
+/// Every sample a pool labels `SyntaxBroken` fails the syntax check. At
+/// this seed the 300-file pool's sample 348 is a `Truncate` cut that
+/// landed in the comment lines after its last whole module, and once
+/// kept two complete modules, which parse.
+#[test]
+fn syntax_broken_pool_samples_fail_the_syntax_check() {
+    use pyranet_corpus::builder::CorpusBuilder;
+    use pyranet_corpus::sample::TruthLabel;
+
+    let pool = CorpusBuilder::new(1_766_480_082).scraped_files(300).build();
+    let broken: Vec<_> =
+        pool.samples.iter().filter(|s| s.truth == TruthLabel::SyntaxBroken).collect();
+    assert!(broken.iter().any(|s| s.id == 348), "sample 348 is no longer SyntaxBroken");
+    for s in broken {
+        let v = check_source(&s.source);
+        assert!(
+            matches!(v, SyntaxVerdict::SyntaxError { .. }),
+            "sample {} is labelled SyntaxBroken but checks as {v:?}:\n{}",
+            s.id,
+            s.source
+        );
+    }
+}

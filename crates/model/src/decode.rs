@@ -63,7 +63,7 @@
 
 use crate::quant::{self, QuantizedMatrix};
 use crate::sampler::{sample_logits_into, SampleOptions};
-use crate::tensor::{gelu_fwd, gelu_fwd_fast, kernels, softmax_row_inplace, KernelMode, Matrix};
+use crate::tensor::{gelu_fwd, kernels, softmax_row_inplace, KernelMode, Matrix};
 use crate::tokenizer::EOS;
 use crate::transformer::{ln_row_into, DecodeWeights, TransformerLm};
 use rand::Rng;
@@ -298,10 +298,106 @@ fn ln_rows_into(x: &Matrix, out: &mut Matrix) {
     }
 }
 
+/// Cache rows per tile of the f32 score loop.
+const TILE: usize = 8;
+
+/// Appends `(q · k) * scale` for each cache row of `keys` (rows of `d`
+/// floats, the head's slice at `off`), in row order.
+///
+/// Rows are scored eight to a tile: each of the tile's accumulators is
+/// one ascending-`j` chain from `-0.0`, the chain `Iterator::sum` runs
+/// in the [`TransformerLm::generate_legacy`] oracle, so every score keeps
+/// its bits while the eight independent chains hide the add latency one
+/// chain would wait on. Rows past the last full tile take that sum itself.
+fn push_scores(qh: &[f32], keys: &[f32], d: usize, off: usize, scale: f32, scores: &mut Vec<f32>) {
+    let hs = qh.len();
+    let tiles = keys.chunks_exact(TILE * d);
+    let rest = tiles.remainder();
+    for tile in tiles {
+        let ks: [&[f32]; TILE] = std::array::from_fn(|r| &tile[r * d + off..][..hs]);
+        let mut acc = [-0.0f32; TILE];
+        for (j, &qj) in qh.iter().enumerate() {
+            for (a, k) in acc.iter_mut().zip(&ks) {
+                *a += qj * k[j];
+            }
+        }
+        scores.extend(acc.iter().map(|a| a * scale));
+    }
+    for row in rest.chunks_exact(d) {
+        let dot: f32 = qh.iter().zip(&row[off..off + hs]).map(|(a, b)| a * b).sum();
+        scores.push(dot * scale);
+    }
+}
+
+/// Adds `w · v` into `out` for each weight `w` and its cache row of
+/// `values` (the head's slice at `off`), rows in ascending order.
+fn add_weighted_rows(out: &mut [f32], weights: &[f32], values: &[f32], d: usize, off: usize) {
+    let hs = out.len();
+    for (&w, row) in weights.iter().zip(values.chunks_exact(d)) {
+        for (o, &v) in out.iter_mut().zip(&row[off..off + hs]) {
+            *o += w * v;
+        }
+    }
+}
+
+/// Causal attention for one query row over a (borrowed prefix ‖ owned
+/// suffix) KV cache. Scores and the value accumulation both run in
+/// ascending cache order — prefix first, then suffix — which is exactly
+/// the order the legacy single-cache loop used, so f32-family results are
+/// bit-identical to attending over the concatenated cache: each score is
+/// the oracle's dot chain ([`push_scores`]), and each output element sums
+/// its weighted values over prefix rows, then suffix rows.
+///
+/// `fast` (int8 sessions only) swaps the score dots for lane-split
+/// [`fdot_fast`] and the score softmax for the polynomial
+/// [`softmax_row_inplace_lanes`] — deterministic, but not bit-identical
+/// to the f32 attention, which is already the int8 session's accuracy
+/// contract (gated by the pass@k parity test).
+#[allow(clippy::too_many_arguments)]
+fn attend_row(
+    q_row: &[f32],
+    merged_row: &mut [f32],
+    prefix_k: &[f32],
+    prefix_v: &[f32],
+    own_k: &[f32],
+    own_v: &[f32],
+    d: usize,
+    hs: usize,
+    scale: f32,
+    scores: &mut Vec<f32>,
+    fast: bool,
+) {
+    let prefix_steps = prefix_k.len() / d;
+    merged_row.fill(0.0);
+    for (h, (qh, out)) in q_row.chunks_exact(hs).zip(merged_row.chunks_exact_mut(hs)).enumerate() {
+        let off = h * hs;
+        scores.clear();
+        if fast {
+            for row in prefix_k.chunks_exact(d).chain(own_k.chunks_exact(d)) {
+                scores.push(fdot_fast(qh, &row[off..off + hs]) * scale);
+            }
+            softmax_row_inplace_lanes(scores);
+        } else {
+            push_scores(qh, prefix_k, d, off, scale, scores);
+            push_scores(qh, own_k, d, off, scale, scores);
+            softmax_row_inplace(scores);
+        }
+        add_weighted_rows(out, &scores[..prefix_steps], prefix_v, d, off);
+        add_weighted_rows(out, &scores[prefix_steps..], own_v, d, off);
+    }
+}
+
+// ---- lane-split sweeps (int8 decode sessions only) ----
+//
+// Each reorders or approximates f32 arithmetic, so none may run in an
+// f32 family: their contract is reproducibility, not bit-parity.
+
+/// f32 lanes the lane-split sweeps unroll to (one AVX2 register; a
+/// multiple of the NEON width).
+const LANES: usize = 8;
+
 /// Head-size f32 dot product as four explicit partial lanes (`H` must be
-/// a multiple of 4 — dispatched head sizes are). The lane split reorders
-/// the f32 accumulation, so this is reserved for the int8 session, whose
-/// contract is reproducibility, not bit-parity with the f32 families.
+/// a multiple of 4 — dispatched head sizes are).
 #[inline]
 fn fdot_fixed<const H: usize>(a: &[f32], b: &[f32]) -> f32 {
     let a: &[f32; H] = a[..H].try_into().expect("dispatcher checked the width");
@@ -328,68 +424,97 @@ fn fdot_fast(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Causal attention for one query row over a (borrowed prefix ‖ owned
-/// suffix) KV cache. Scores and the value accumulation both run in
-/// ascending cache order — prefix first, then suffix — which is exactly
-/// the order the legacy single-cache loop used, so f32-family results are
-/// bit-identical to attending over the concatenated cache.
-///
-/// `fast` (int8 sessions only) swaps the score dots for lane-split
-/// [`fdot_fast`] and the score softmax for the polynomial
-/// [`kernels::softmax_row_inplace_lanes`] — deterministic, but not
-/// bit-identical to the f32 attention, which is already the int8
-/// session's accuracy contract (gated by the pass@k parity test).
-#[allow(clippy::too_many_arguments)]
-fn attend_row(
-    q_row: &[f32],
-    merged_row: &mut [f32],
-    prefix_k: &[f32],
-    prefix_v: &[f32],
-    own_k: &[f32],
-    own_v: &[f32],
-    d: usize,
-    nh: usize,
-    hs: usize,
-    scale: f32,
-    scores: &mut Vec<f32>,
-    fast: bool,
-) {
-    let prefix_steps = prefix_k.len() / d;
-    let own_steps = own_k.len() / d;
-    merged_row.fill(0.0);
-    for h in 0..nh {
-        let qh = &q_row[h * hs..(h + 1) * hs];
-        scores.clear();
-        for s in 0..prefix_steps {
-            let kh = &prefix_k[s * d + h * hs..s * d + (h + 1) * hs];
-            let dot =
-                if fast { fdot_fast(qh, kh) } else { qh.iter().zip(kh).map(|(a, b)| a * b).sum() };
-            scores.push(dot * scale);
-        }
-        for s in 0..own_steps {
-            let kh = &own_k[s * d + h * hs..s * d + (h + 1) * hs];
-            let dot =
-                if fast { fdot_fast(qh, kh) } else { qh.iter().zip(kh).map(|(a, b)| a * b).sum() };
-            scores.push(dot * scale);
-        }
-        if fast {
-            kernels::softmax_row_inplace_lanes(scores);
-        } else {
-            softmax_row_inplace(scores);
-        }
-        for (s, w) in scores[..prefix_steps].iter().enumerate() {
-            let vh = &prefix_v[s * d + h * hs..s * d + (h + 1) * hs];
-            for (j, vx) in vh.iter().enumerate() {
-                merged_row[h * hs + j] += w * vx;
-            }
-        }
-        for (s, w) in scores[prefix_steps..].iter().enumerate() {
-            let vh = &own_v[s * d + h * hs..s * d + (h + 1) * hs];
-            for (j, vx) in vh.iter().enumerate() {
-                merged_row[h * hs + j] += w * vx;
-            }
+/// Lane-parallel row max. f32 max is order-independent on non-NaN
+/// inputs, so this matches a sequential max exactly.
+fn lane_max(row: &[f32]) -> f32 {
+    let split = row.len() - row.len() % LANES;
+    let mut m = [f32::NEG_INFINITY; LANES];
+    for ch in row[..split].chunks_exact(LANES) {
+        for l in 0..LANES {
+            m[l] = m[l].max(ch[l]);
         }
     }
+    let mut best = m.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
+    for &x in &row[split..] {
+        best = best.max(x);
+    }
+    best
+}
+
+/// Vectorizable `exp`: Cephes-style range reduction (`x = n·ln2 + r`)
+/// and a degree-5 polynomial in `r`, built only from mul/add/clamp/
+/// convert so the autovectorizer emits packed code where a libm
+/// `exp` call would serialize the whole loop. Rounding to the nearest
+/// `n` uses the `1.5 · 2²³` magic-constant trick (two adds) because
+/// `f32::round` is also a libm call on baseline x86-64.
+///
+/// Max relative error ≈ 2 ulp over the clamped domain `[-87, 88]`.
+/// Deterministic — a pure function of the input bits — but *not*
+/// bit-identical to libm `exp`.
+#[inline]
+fn exp_approx(x: f32) -> f32 {
+    const LOG2E: f32 = std::f32::consts::LOG2_E;
+    const LN2_HI: f32 = 0.693_359_4;
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
+    let x = x.clamp(-87.0, 88.0);
+    let n = (x * LOG2E + MAGIC) - MAGIC;
+    let r = x - n * LN2_HI - n * LN2_LO;
+    let p = 1.987_569_1e-4f32;
+    let p = p * r + 1.398_2e-3;
+    let p = p * r + 8.333_452e-3;
+    let p = p * r + 4.166_579_6e-2;
+    let p = p * r + 1.666_666_5e-1;
+    let p = p * r + 5.000_000_3e-1;
+    let p = p * (r * r) + r + 1.0;
+    let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
+    p * scale
+}
+
+/// Vectorizable `tanh` on top of [`exp_approx`]:
+/// `tanh(x) = (e²ˣ − 1) / (e²ˣ + 1)`. The division is a packed
+/// `divps`; saturation falls out of `exp_approx`'s domain clamp.
+#[inline]
+fn tanh_approx(x: f32) -> f32 {
+    let e = exp_approx(2.0 * x);
+    (e - 1.0) / (e + 1.0)
+}
+
+/// Two-pass vectorized row softmax: exact lane max, then one fused
+/// sweep that writes `exp_approx(x − max)` back while lane-splitting
+/// the denominator sum (reordered *and* polynomial-exp — deterministic,
+/// not bit-identical to [`softmax_row_inplace`]'s online libm
+/// normalizer), then a scale sweep.
+fn softmax_row_inplace_lanes(row: &mut [f32]) {
+    let max = lane_max(row);
+    let split = row.len() - row.len() % LANES;
+    let mut lanes = [0.0f32; LANES];
+    for ch in row[..split].chunks_exact_mut(LANES) {
+        for l in 0..LANES {
+            let e = exp_approx(ch[l] - max);
+            ch[l] = e;
+            lanes[l] += e;
+        }
+    }
+    let mut denom = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
+        + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+    for x in &mut row[split..] {
+        let e = exp_approx(*x - max);
+        *x = e;
+        denom += e;
+    }
+    let inv = 1.0 / denom;
+    for x in row.iter_mut() {
+        *x *= inv;
+    }
+}
+
+/// [`gelu_fwd`] with the vectorizable [`tanh_approx`] — the int8
+/// session's activation. Graphs and f32 decode always use the libm
+/// [`gelu_fwd`].
+fn gelu_fwd_fast(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    0.5 * x * (1.0 + tanh_approx(C * (x + 0.044715 * x * x * x)))
 }
 
 /// One sequence's rows in a [`DecodeSession::forward`]: consecutive tokens
@@ -462,7 +587,6 @@ pub struct DecodeSession<'m> {
     kernels: KernelMode,
     d: usize,
     hs: usize,
-    nh: usize,
     n_layers: usize,
     max_seq: usize,
     vocab: usize,
@@ -492,7 +616,6 @@ impl<'m> DecodeSession<'m> {
             kernels: mode,
             d: cfg.d_model,
             hs: cfg.head_size(),
-            nh: cfg.n_heads,
             n_layers: w.wq.len(),
             max_seq: cfg.max_seq,
             vocab: lm.vocab_size(),
@@ -539,7 +662,7 @@ impl<'m> DecodeSession<'m> {
     /// that cache up to its own position. Leaves the logits of each
     /// group's last row in `scratch.logits`, one row per group.
     fn forward(&mut self, groups: &mut [Group<'_>]) {
-        let (d, nh, hs, scale) = (self.d, self.nh, self.hs, self.scale);
+        let (d, hs, scale) = (self.d, self.hs, self.scale);
         let (mode, qw, w) = (self.kernels, self.quant.as_ref(), &self.w);
         let sc = &mut self.scratch;
         let n = groups.iter().map(|g| g.ids.len()).sum();
@@ -573,7 +696,6 @@ impl<'m> DecodeSession<'m> {
                         &own_k[..end],
                         &own_v[..end],
                         d,
-                        nh,
                         hs,
                         scale,
                         &mut sc.scores,
@@ -765,6 +887,42 @@ impl<'m> DecodeSession<'m> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Lane-parallel softmax: deterministic, rows sum to 1, and tight
+        /// against the shared online-normalizer softmax.
+        #[test]
+        fn lane_softmax_is_close_to_shared_softmax(
+            n in 1usize..40, seed in 0u64..1_000,
+        ) {
+            // Deterministic pseudo-random scores in [-0.5, 0.5].
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+            let row: Vec<f32> = (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    ((x >> 11) as f32 / (1u64 << 53) as f32) - 0.5
+                })
+                .collect();
+            let mut lanes = row.clone();
+            let mut again = row.clone();
+            let mut shared = row;
+            softmax_row_inplace_lanes(&mut lanes);
+            softmax_row_inplace_lanes(&mut again);
+            softmax_row_inplace(&mut shared);
+            prop_assert_eq!(
+                lanes.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                again.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+            let sum: f32 = lanes.iter().sum();
+            prop_assert!((sum - 1.0).abs() < 1e-5, "sums to {sum}");
+            for (l, s) in lanes.iter().zip(&shared) {
+                prop_assert!((l - s).abs() <= 1e-6 + 1e-5 * s.abs(), "{l} vs {s}");
+            }
+        }
+    }
 
     #[test]
     fn plan_keeps_legacy_semantics_when_prompt_fits() {

@@ -130,9 +130,6 @@ impl std::str::FromStr for KernelMode {
 pub mod kernels {
     use super::{KernelMode, Matrix};
 
-    /// f32 lanes the int8 session's lane-split sweeps unroll to (one AVX2
-    /// register; a multiple of the NEON width).
-    pub const LANES: usize = 8;
     /// Register-tile width of the blocked matmuls: 32 f32 lanes, i.e.
     /// eight SSE (or four AVX) vectors of accumulators that live entirely
     /// in registers across the shared-dim loop.
@@ -546,94 +543,6 @@ pub mod kernels {
                 }
                 out.data[j * n + col] = acc;
             }
-        }
-    }
-
-    // ---- lane-parallel row sweeps (int8 decode sessions) ----
-
-    /// Lane-parallel row max. f32 max is order-independent on non-NaN
-    /// inputs, so this matches a sequential max exactly.
-    fn lane_max(row: &[f32]) -> f32 {
-        let split = row.len() - row.len() % LANES;
-        let mut m = [f32::NEG_INFINITY; LANES];
-        for ch in row[..split].chunks_exact(LANES) {
-            for l in 0..LANES {
-                m[l] = m[l].max(ch[l]);
-            }
-        }
-        let mut best = m.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        for &x in &row[split..] {
-            best = best.max(x);
-        }
-        best
-    }
-
-    /// Vectorizable `exp`: Cephes-style range reduction (`x = n·ln2 + r`)
-    /// and a degree-5 polynomial in `r`, built only from mul/add/clamp/
-    /// convert so the autovectorizer emits packed code where a libm
-    /// `exp` call would serialize the whole loop. Rounding to the nearest
-    /// `n` uses the `1.5 · 2²³` magic-constant trick (two adds) because
-    /// `f32::round` is also a libm call on baseline x86-64.
-    ///
-    /// Max relative error ≈ 2 ulp over the clamped domain `[-87, 88]`.
-    /// Deterministic — a pure function of the input bits — but *not*
-    /// bit-identical to libm `exp`; only [`KernelMode::QuantizedInt8`]
-    /// decode sessions call it, never an f32 family.
-    #[inline]
-    pub fn exp_approx(x: f32) -> f32 {
-        const LOG2E: f32 = std::f32::consts::LOG2_E;
-        const LN2_HI: f32 = 0.693_359_4;
-        const LN2_LO: f32 = -2.121_944_4e-4;
-        const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
-        let x = x.clamp(-87.0, 88.0);
-        let n = (x * LOG2E + MAGIC) - MAGIC;
-        let r = x - n * LN2_HI - n * LN2_LO;
-        let p = 1.987_569_1e-4f32;
-        let p = p * r + 1.398_2e-3;
-        let p = p * r + 8.333_452e-3;
-        let p = p * r + 4.166_579_6e-2;
-        let p = p * r + 1.666_666_5e-1;
-        let p = p * r + 5.000_000_3e-1;
-        let p = p * (r * r) + r + 1.0;
-        let scale = f32::from_bits((((n as i32) + 127) << 23) as u32);
-        p * scale
-    }
-
-    /// Vectorizable `tanh` on top of [`exp_approx`]:
-    /// `tanh(x) = (e²ˣ − 1) / (e²ˣ + 1)`. The division is a packed
-    /// `divps`; saturation falls out of `exp_approx`'s domain clamp.
-    #[inline]
-    pub fn tanh_approx(x: f32) -> f32 {
-        let e = exp_approx(2.0 * x);
-        (e - 1.0) / (e + 1.0)
-    }
-
-    /// Two-pass vectorized row softmax: exact lane max, then one fused
-    /// sweep that writes `exp_approx(x − max)` back while lane-splitting
-    /// the denominator sum (reordered *and* polynomial-exp — deterministic,
-    /// not bit-identical to [`softmax_row_inplace`](super::softmax_row_inplace)'s
-    /// online libm normalizer), then a scale sweep.
-    pub fn softmax_row_inplace_lanes(row: &mut [f32]) {
-        let max = lane_max(row);
-        let split = row.len() - row.len() % LANES;
-        let mut lanes = [0.0f32; LANES];
-        for ch in row[..split].chunks_exact_mut(LANES) {
-            for l in 0..LANES {
-                let e = exp_approx(ch[l] - max);
-                ch[l] = e;
-                lanes[l] += e;
-            }
-        }
-        let mut denom = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6]))
-            + ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
-        for x in &mut row[split..] {
-            let e = exp_approx(*x - max);
-            *x = e;
-            denom += e;
-        }
-        let inv = 1.0 / denom;
-        for x in row.iter_mut() {
-            *x *= inv;
         }
     }
 }
@@ -1253,14 +1162,6 @@ fn gelu_bwd(x: f32, t: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044715 * x * x)
 }
 
-/// [`gelu_fwd`] with the vectorizable [`kernels::tanh_approx`] — the
-/// [`KernelMode::QuantizedInt8`] decode session's activation. Graphs and
-/// f32 decode always use the libm [`gelu_fwd`].
-pub(crate) fn gelu_fwd_fast(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + kernels::tanh_approx(C * (x + 0.044715 * x * x * x)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1721,30 +1622,6 @@ mod tests {
             let upper = kernels::transpose(&lower);
             kernels::causal_matmul(&upper, &b, kernels::Triangle::Upper, &mut got);
             prop_assert_eq!(bits(&got), bits(&want));
-        }
-
-        /// Lane-parallel softmax: deterministic, rows sum to 1, and tight
-        /// against the shared online-normalizer softmax.
-        #[test]
-        fn lane_softmax_is_close_to_shared_softmax(
-            n in 1usize..40, seed in 0u64..1_000,
-        ) {
-            let m = seeded(1, n, seed);
-            let mut lanes = m.data.clone();
-            let mut again = m.data.clone();
-            let mut shared = m.data.clone();
-            kernels::softmax_row_inplace_lanes(&mut lanes);
-            kernels::softmax_row_inplace_lanes(&mut again);
-            softmax_row_inplace(&mut shared);
-            prop_assert_eq!(
-                lanes.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                again.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
-            let sum: f32 = lanes.iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-5, "sums to {sum}");
-            for (l, s) in lanes.iter().zip(&shared) {
-                prop_assert!((l - s).abs() <= 1e-6 + 1e-5 * s.abs(), "{l} vs {s}");
-            }
         }
     }
 

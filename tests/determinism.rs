@@ -299,6 +299,90 @@ fn cli_shape_training_matches_its_pinned_digest() {
     }
 }
 
+/// Decodes at the CLI model shape through the serve engine's primitives:
+/// prompts whose lengths straddle the 8-row attention score tile are
+/// prefilled, forked 1–10 times each, and every fork of every prompt
+/// steps in one continuous batch until its token budget runs out. Every
+/// logits bit (prefill and step) and every sampled id folds into one
+/// FNV-1a digest.
+fn cli_shape_decode_digest(mode: pyranet::model::KernelMode) -> u64 {
+    use pyranet::model::decode::SeqState;
+    use pyranet::model::sampler::sample_logits;
+    use pyranet::model::{DecodeSession, PromptPlan, SampleOptions};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    const VOCAB: usize = 96;
+    const MAX_NEW: usize = 24;
+    let cfg = ModelConfig {
+        name: "pyranet-cli".into(),
+        d_model: 32,
+        n_layers: 2,
+        n_heads: 4,
+        d_ff: 64,
+        max_seq: 160,
+        learning_rate: 3e-3,
+        seed: 14,
+    };
+    let lm = TransformerLm::new(cfg, VOCAB);
+    let mut session = DecodeSession::new_with(&lm, mode);
+    let opts = SampleOptions { temperature: 0.8, top_k: 0 };
+    let fold_logits = |h: &mut pyranet_exec::Fnv64, logits: &[f32]| {
+        for x in logits {
+            h.write(&x.to_bits().to_le_bytes());
+        }
+    };
+    let mut h = pyranet_exec::Fnv64::new();
+    let lens = [1usize, 7, 8, 9, 16, 17, 81, 150];
+    let prefixes: Vec<_> = lens
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| {
+            // Ordinary token ids (5..), never a special token.
+            let prompt: Vec<usize> =
+                (0..len).map(|t| 5 + (t * 37 + i * 11) % (VOCAB - 5)).collect();
+            session.prefill(&prompt, MAX_NEW)
+        })
+        .collect();
+    // (state, prefix index, rng, tokens left in the budget)
+    let mut live: Vec<(SeqState, usize, ChaCha8Rng, usize)> = Vec::new();
+    for (i, prefix) in prefixes.iter().enumerate() {
+        let budget = PromptPlan::new(prefix.len(), MAX_NEW, session.max_seq()).new_token_budget;
+        for f in 0..1 + (i * 3) % 10 {
+            let seq = session.open_seq(prefix);
+            fold_logits(&mut h, seq.logits());
+            live.push((seq, i, ChaCha8Rng::seed_from_u64((i * 16 + f) as u64), budget));
+        }
+    }
+    while !live.is_empty() {
+        // Sample every live sequence; the budget's last token and `<eos>`
+        // retire a sequence without a forward, as `decode_batch` does.
+        live.retain_mut(|(seq, _, rng, left)| {
+            let id = sample_logits(seq.logits(), &opts, rng);
+            h.write_u64(id as u64);
+            *left -= 1;
+            seq.push_token(id);
+            id != pyranet::model::tokenizer::EOS && *left > 0
+        });
+        let mut rows: Vec<_> = live.iter_mut().map(|(seq, i, _, _)| (seq, &prefixes[*i])).collect();
+        session.step_seqs(&mut rows);
+        for (seq, _) in &rows {
+            fold_logits(&mut h, seq.logits());
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn cli_shape_decode_matches_its_pinned_digest() {
+    // Pins every decoded logit and sampled id across changes to the
+    // attention body behind prefill, eval forks and the serve batch.
+    use pyranet::model::KernelMode;
+    for mode in [KernelMode::Blocked, KernelMode::Reference] {
+        let digest = cli_shape_decode_digest(mode);
+        assert_eq!(format!("{digest:016x}"), "db2800dc4fd22c12", "{mode} decode digest drifted");
+    }
+}
+
 #[test]
 fn simd_kernel_eval_is_byte_identical_to_blocked() {
     // The acceptance pin for the f32 kernel families: a `blocked` session
