@@ -23,7 +23,7 @@ use pyranet_bench::{best_of, Counters, Report, Row, Scale};
 use std::path::Path;
 
 /// Repeats per scenario; the fastest wall time is reported.
-const REPEATS: usize = 3;
+const REPEATS: usize = 15;
 /// Thread counts the digest identity is re-checked at.
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 

@@ -23,6 +23,23 @@ use pyranet::obs::SnapshotValue;
 use serde::{Content, Serialize};
 use std::time::Instant;
 
+/// A report's keys, in order.
+pub const REPORT_KEYS: [&str; 7] =
+    ["bench", "scale", "host_parallelism", "commit", "repeats", "params", "rows"];
+/// A row's keys, in order.
+pub const ROW_KEYS: [&str; 10] = [
+    "name",
+    "secs",
+    "median_secs",
+    "work",
+    "unit",
+    "per_sec",
+    "baseline",
+    "speedup",
+    "counts",
+    "labels",
+];
+
 /// Fastest and median wall seconds over one measurement's repeats.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Secs {
@@ -376,24 +393,9 @@ mod tests {
         let json: Content = serde_json::from_str(&serde_json::to_string(&report).unwrap()).unwrap();
         let keys =
             |c: &Content| c.as_map().unwrap().iter().map(|(k, _)| k.clone()).collect::<Vec<_>>();
-        assert_eq!(
-            keys(&json),
-            ["bench", "scale", "host_parallelism", "commit", "repeats", "params", "rows"]
-        );
+        assert_eq!(keys(&json), REPORT_KEYS);
         let rows = serde::map_get(json.as_map().unwrap(), "rows").unwrap().as_seq().unwrap();
-        let row_keys = [
-            "name",
-            "secs",
-            "median_secs",
-            "work",
-            "unit",
-            "per_sec",
-            "baseline",
-            "speedup",
-            "counts",
-            "labels",
-        ];
-        assert!(rows.iter().all(|r| keys(r) == row_keys));
+        assert!(rows.iter().all(|r| keys(r) == ROW_KEYS));
     }
 
     #[test]

@@ -63,7 +63,7 @@
 
 use crate::quant::{self, QuantizedMatrix};
 use crate::sampler::{sample_logits_into, SampleOptions};
-use crate::tensor::{gelu_fwd, kernels, softmax_row_inplace, KernelMode, Matrix};
+use crate::tensor::{gelu_inplace, kernels, softmax_row_inplace, KernelMode, Matrix};
 use crate::tokenizer::EOS;
 use crate::transformer::{ln_row_into, DecodeWeights, TransformerLm};
 use rand::Rng;
@@ -211,6 +211,8 @@ struct Scratch {
     scores: Vec<f32>,
     /// Sampler weight buffer (vocab long).
     sample: Vec<f32>,
+    /// GELU's `tanh` values, `[rows, d_ff]` (f32 sessions only).
+    gelu: Vec<f32>,
     /// Quantized activation row (int8 sessions only; empty otherwise).
     xq: Vec<i16>,
 }
@@ -231,6 +233,7 @@ impl Scratch {
             logits: m(vocab),
             scores: Vec::with_capacity(max_seq),
             sample: Vec::with_capacity(vocab),
+            gelu: Vec::new(),
             xq: Vec::new(),
         }
     }
@@ -509,9 +512,9 @@ fn softmax_row_inplace_lanes(row: &mut [f32]) {
     }
 }
 
-/// [`gelu_fwd`] with the vectorizable [`tanh_approx`] — the int8
-/// session's activation. Graphs and f32 decode always use the libm
-/// [`gelu_fwd`].
+/// GELU with the polynomial [`tanh_approx`] — the int8 session's
+/// activation. Graphs and f32 decode always use [`gelu_inplace`], with
+/// libm's `tanh` bits.
 fn gelu_fwd_fast(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     0.5 * x * (1.0 + tanh_approx(C * (x + 0.044715 * x * x * x)))
@@ -724,9 +727,7 @@ impl<'m> DecodeSession<'m> {
                     *vx = gelu_fwd_fast(*vx);
                 }
             } else {
-                for vx in sc.h1.data.iter_mut() {
-                    *vx = gelu_fwd(*vx);
-                }
+                gelu_inplace(&mut sc.h1.data, &mut sc.gelu);
             }
             project_into(mode, qw.map(|q| &q.w2[li]), &sc.h1, &w.w2[li], &mut sc.h2, &mut sc.xq);
             for (xv, pv) in sc.x.data.iter_mut().zip(&sc.h2.data) {

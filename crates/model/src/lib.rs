@@ -25,6 +25,8 @@
 //!   pass@k-parity gated against f32.
 //! * [`config`] — the three base-model configurations standing in for the
 //!   Table II architectures.
+//! * `vmath` — batched `exp` and `tanh` with exactly libm's bits, behind
+//!   softmax, cross-entropy, the sampler and GELU.
 //!
 //! The model is small (hundreds of thousands of parameters, not billions),
 //! but it is *real*: it trains with per-sample loss weights, it overfits
@@ -41,6 +43,7 @@ pub mod sampler;
 pub mod tensor;
 pub mod tokenizer;
 pub mod transformer;
+mod vmath;
 
 pub use adam::Adam;
 pub use config::ModelConfig;

@@ -1,5 +1,6 @@
 //! Token sampling for generation.
 
+use crate::vmath::exp_inplace;
 use rand::Rng;
 
 /// Sampling hyperparameters.
@@ -46,7 +47,8 @@ pub fn sample_logits_into<R: Rng>(
         indexed.truncate(opts.top_k);
         let max = indexed.iter().map(|(_, v)| *v).fold(f32::NEG_INFINITY, f32::max);
         scratch.clear();
-        scratch.extend(indexed.iter().map(|(_, v)| ((v - max) / opts.temperature).exp()));
+        scratch.extend(indexed.iter().map(|(_, v)| (v - max) / opts.temperature));
+        exp_inplace(scratch);
         let total: f32 = scratch.iter().sum();
         for w in scratch.iter_mut() {
             *w /= total;
@@ -63,7 +65,8 @@ pub fn sample_logits_into<R: Rng>(
     // Dense path: candidate order is index order, no sort needed.
     let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     scratch.clear();
-    scratch.extend(logits.iter().map(|v| ((v - max) / opts.temperature).exp()));
+    scratch.extend(logits.iter().map(|v| (v - max) / opts.temperature));
+    exp_inplace(scratch);
     let total: f32 = scratch.iter().sum();
     for w in scratch.iter_mut() {
         *w /= total;

@@ -16,7 +16,10 @@
 //! ([`Graph::causal_attention`]) whose `Blocked` kernels touch only the
 //! lower triangle of each head's scores. Softmax, layer norm, and
 //! cross-entropy are fused into two sweeps per row (one read-only
-//! statistics sweep, one write sweep).
+//! statistics sweep, one write sweep). Their `exp`s, and GELU's `tanh`s,
+//! run a slice at a time through `vmath`, with libm's bits.
+
+use crate::vmath;
 
 /// A node id on the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -609,16 +612,37 @@ impl std::fmt::Debug for Graph {
 
 /// Online (single-pass) max and exp-sum of a row: the streaming softmax
 /// normalizer. Returns `(max, denom)` with `denom = Σ exp(x - max)`.
+///
+/// Each rise of the running max rescales the sum with one scalar libm
+/// `exp`: `denom = denom·exp(old − new) + 1`. Between two rises every
+/// term is `exp(x − max)` for one max, so each such run goes through
+/// [`vmath::exp_inplace`] a chunk at a time and adds into `denom` in index
+/// order: the recurrence's operations, bit for bit, with the run's
+/// exponentials batched.
 pub(crate) fn online_max_expsum(row: &[f32]) -> (f32, f32) {
+    const CHUNK: usize = 64;
+    let mut terms = [0.0f32; CHUNK];
     let mut max = f32::NEG_INFINITY;
     let mut denom = 0.0f32;
-    for &x in row {
-        if x > max {
-            denom = denom * (max - x).exp() + 1.0;
-            max = x;
-        } else {
-            denom += (x - max).exp();
+    let mut i = 0;
+    while i < row.len() {
+        let chunk = &row[i..row.len().min(i + CHUNK)];
+        let run = chunk.iter().position(|&x| x > max).unwrap_or(chunk.len());
+        if run == 0 {
+            denom = denom * (max - chunk[0]).exp() + 1.0;
+            max = chunk[0];
+            i += 1;
+            continue;
         }
+        let terms = &mut terms[..run];
+        for (t, &x) in terms.iter_mut().zip(chunk) {
+            *t = x - max;
+        }
+        vmath::exp_inplace(terms);
+        for &t in terms.iter() {
+            denom += t;
+        }
+        i += run;
     }
     (max, denom)
 }
@@ -635,7 +659,11 @@ pub fn softmax_row_inplace(row: &mut [f32]) {
     let (max, denom) = online_max_expsum(row);
     let inv = 1.0 / denom;
     for x in row.iter_mut() {
-        *x = (*x - max).exp() * inv;
+        *x -= max;
+    }
+    vmath::exp_inplace(row);
+    for x in row.iter_mut() {
+        *x *= inv;
     }
 }
 
@@ -737,12 +765,8 @@ impl Graph {
     /// kept for the backward pass, which therefore never recomputes it.
     pub fn gelu(&mut self, a: TensorId) -> TensorId {
         let mut out = self.nodes[a.0].value.clone();
-        let mut tanh = Vec::with_capacity(out.data.len());
-        for o in out.data.iter_mut() {
-            let t = gelu_tanh(*o);
-            *o = gelu_from_tanh(*o, t);
-            tanh.push(t);
-        }
+        let mut tanh = Vec::new();
+        gelu_inplace(&mut out.data, &mut tanh);
         let needs = self.needs(a);
         self.push(out, Op::Gelu(a, tanh), needs)
     }
@@ -895,11 +919,8 @@ impl Graph {
         for r in 0..v.rows {
             let row = &v.data[r * v.cols..(r + 1) * v.cols];
             let prow = &mut probs.data[r * v.cols..(r + 1) * v.cols];
-            let (max, denom) = online_max_expsum(row);
-            let inv = 1.0 / denom;
-            for (o, &x) in prow.iter_mut().zip(row) {
-                *o = (x - max).exp() * inv;
-            }
+            prow.copy_from_slice(row);
+            softmax_row_inplace(prow);
             let p = prow[targets[r]].max(1e-12);
             loss -= weights[r] * p.ln();
         }
@@ -1139,23 +1160,36 @@ fn lower_tn(mode: KernelMode, a: &Matrix, c: &Matrix) -> Matrix {
     out
 }
 
-/// `tanh(√(2/π)·(x + 0.044715·x³))`, the one transcendental GELU needs.
-fn gelu_tanh(x: f32) -> f32 {
+/// `√(2/π)·(x + 0.044715·x³)`, the argument of GELU's one `tanh`.
+fn gelu_arg(x: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    (C * (x + 0.044715 * x * x * x)).tanh()
+    C * (x + 0.044715 * x * x * x)
 }
 
 fn gelu_from_tanh(x: f32, t: f32) -> f32 {
     0.5 * x * (1.0 + t)
 }
 
-/// GELU forward (tanh approximation) — shared by the graph op and the
-/// KV-cached decode path.
+/// GELU forward (tanh approximation) through libm's scalar `tanh`: the
+/// legacy decode loop's, bit-identical to [`gelu_inplace`].
 pub(crate) fn gelu_fwd(x: f32) -> f32 {
-    gelu_from_tanh(x, gelu_tanh(x))
+    gelu_from_tanh(x, gelu_arg(x).tanh())
 }
 
-/// GELU derivative at `x`, given `t` = [`gelu_tanh`]`(x)` from the forward.
+/// GELU over `xs` in place, its `tanh`s batched through
+/// [`vmath::tanh_inplace`] — shared by the graph op and the KV-cached
+/// decode path. Leaves each element's `tanh` in `tanh` (cleared first),
+/// which the graph keeps for the backward pass.
+pub(crate) fn gelu_inplace(xs: &mut [f32], tanh: &mut Vec<f32>) {
+    tanh.clear();
+    tanh.extend(xs.iter().map(|&x| gelu_arg(x)));
+    vmath::tanh_inplace(tanh);
+    for (x, &t) in xs.iter_mut().zip(tanh.iter()) {
+        *x = gelu_from_tanh(*x, t);
+    }
+}
+
+/// GELU derivative at `x`, given `t = tanh(gelu_arg(x))` from the forward.
 fn gelu_bwd(x: f32, t: f32) -> f32 {
     const C: f32 = 0.797_884_6;
     let sech2 = 1.0 - t * t;
