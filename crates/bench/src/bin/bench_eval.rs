@@ -1,7 +1,7 @@
 //! Inference-engine benchmark: the n-samples-per-problem pass@k workload
-//! timed on both eval paths, written to `BENCH_eval.json` (rows `naive`,
-//! `session`, `session_int8`, each broken down per problem as
-//! `<row>/<problem id>`, and `equivalence`).
+//! timed on both eval paths, written to `BENCH_eval.json` (rows `naive`
+//! and `session`, each broken down per problem as `<row>/<problem id>`,
+//! and `equivalence`).
 //!
 //! * **naive** — the retained legacy loop: every sample re-merges
 //!   weights, re-prefills the full prompt, and decodes alone.
@@ -9,12 +9,6 @@
 //!   KV cache forked (borrowed, not copied) across the n samples, all
 //!   live sequences decoded in lock-step batches through the blocked
 //!   kernels.
-//! * **session_int8** — the same session engine in the `int8` kernel
-//!   family: effective weights absmax-quantized once at session build,
-//!   matmuls accumulated in i32. Its sampled ids legitimately differ
-//!   from f32 (quantization perturbs the logits — parity is gated at the
-//!   pass@k level in `tests/quant_parity.rs`, not per token), so its
-//!   speedup is reported as a tokens/sec ratio over its own token count.
 //!
 //! Both paths run single-threaded on identical per-sample RNG streams and
 //! must produce identical token ids (asserted every repeat) — the
@@ -41,11 +35,8 @@ use rand_chacha::ChaCha8Rng;
 
 /// The decode paths: row name, session kernel family (`None` for the
 /// legacy loop), baseline row.
-const PATHS: [(&str, Option<KernelMode>, &str); 3] = [
-    ("naive", None, "naive"),
-    ("session", Some(KernelMode::Blocked), "naive"),
-    ("session_int8", Some(KernelMode::QuantizedInt8), "session"),
-];
+const PATHS: [(&str, Option<KernelMode>, &str); 2] =
+    [("naive", None, "naive"), ("session", Some(KernelMode::Blocked), "naive")];
 
 /// One path's measurement on one problem.
 struct Measured {
@@ -93,7 +84,7 @@ fn main() {
     let seed = 0xEA_11u64;
     let tokens = |ids: &[Vec<usize>]| ids.iter().map(|b| b.len() as u64).sum::<u64>();
     // Per problem: id, prompt tokens, one measurement per path.
-    let mut per_problem: Vec<(String, usize, [Measured; 3])> = Vec::new();
+    let mut per_problem: Vec<(String, usize, [Measured; 2])> = Vec::new();
     for problem in &problems {
         let header_ids = tk.encode(&problem.header());
         let mut prompt = tk.encode_prompt(&problem.prompt());
@@ -138,10 +129,7 @@ fn main() {
                 });
                 let engine = Counters::read("decode.").since(&before);
                 let ids: Vec<Vec<usize>> = gens.into_iter().map(|g| g.ids).collect();
-                // Int8 ids legitimately differ from f32 (see above).
-                if mode != KernelMode::QuantizedInt8 {
-                    assert_eq!(ids, naive.out, "engines diverged on {}", problem.id);
-                }
+                assert_eq!(ids, naive.out, "engines diverged on {}", problem.id);
                 // The engine's own counters must see every fork and token.
                 assert_eq!(engine.get("decode.forks"), u64::from(n_samples), "fork count drifted");
                 assert_eq!(engine.get("decode.tokens"), tokens(&ids), "engine token count drifted");
@@ -150,17 +138,14 @@ fn main() {
             let (tokens, engine) = run.out;
             Measured { secs: run.secs, tokens, engine }
         });
-        let [n, s, q] = &measured;
+        let [n, s] = &measured;
         eprintln!(
-            "{:<24} prompt {:>3} tok, {:>4} decode tok: naive {:.3}s, session {:.3}s, \
-             int8 {:>4} tok {:.3}s",
+            "{:<24} prompt {:>3} tok, {:>4} decode tok: naive {:.3}s, session {:.3}s",
             problem.id,
             prompt.len(),
             n.tokens,
             n.secs.fastest,
             s.secs.fastest,
-            q.tokens,
-            q.secs.fastest,
         );
         per_problem.push((problem.id.clone(), prompt.len(), measured));
     }

@@ -67,15 +67,15 @@ const USAGE: &str = "pyranet — PyraNet dataset toolchain\n\n\
     \x20                     [--cache-dir DIR]\n  \
      pyranet stats <dataset.jsonl | shard-dir | manifest.json>\n  \
      pyranet train [--files N] [--seed S] [--threads T] [--batch-size B] [--epochs E] [--max-examples M]\n  \
-    \x20            [--kernel reference|blocked|int8] [--recipe sft|repair]\n  \
+    \x20            [--kernel reference|blocked] [--recipe sft|repair]\n  \
     \x20            [--repair-out FILE.jsonl]\n  \
      pyranet eval [--split machine|human|both] [--samples N] [--max-new-tokens N]\n  \
-    \x20            [--threads T] [--seed S] [--kernel reference|blocked|int8]\n  \
+    \x20            [--threads T] [--seed S] [--kernel reference|blocked]\n  \
     \x20            [--sim compiled|reference] [--check stimulus|equivalence]\n  \
     \x20            [--max-eq-inputs N<=20] [--files N] [--epochs E] [--json OUT]\n  \
      pyranet serve --requests FILE.jsonl [--out FILE.jsonl] [--max-batch N]\n  \
     \x20            [--queue-depth N] [--prefix-cache N] [--seed S] [--threads T]\n  \
-    \x20            [--kernel reference|blocked|int8] [--files N] [--epochs E]\n  \
+    \x20            [--kernel reference|blocked] [--files N] [--epochs E]\n  \
     \x20            [--shuffle-arrival S]\n\n\
      build-dataset, train, eval, and serve also accept:\n  \
      --metrics OUT.json   write a JSON snapshot of all recorded metrics\n  \
@@ -737,6 +737,8 @@ mod tests {
             (&["eval", "--threads", "5000"], "--threads"),
             (&["serve", "--threads", "5000"], "--threads"),
             (&["train", "--kernel", "simd"], "--kernel"),
+            (&["eval", "--kernel", "int8"], "--kernel"),
+            (&["serve", "--kernel", "int8"], "--kernel"),
             (&["sim", "m.v", "top", "a=1", "--cycles", "x"], "--cycles"),
         ] {
             let result = run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>());

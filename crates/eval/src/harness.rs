@@ -37,9 +37,8 @@ pub struct EvalOptions {
     /// so this is a throughput knob, never a semantic one).
     pub sim: SimMode,
     /// Kernel family for the decode session (`--kernel` on the CLI).
-    /// `Blocked` and `Reference` sessions are bit-identical to each other;
-    /// `QuantizedInt8` quantizes the effective weights at session build
-    /// and is gated by a pass@k parity test against f32.
+    /// `Blocked` and its `Reference` oracle decode bit-identically, so
+    /// this is a throughput knob, never a semantic one.
     pub kernel: KernelMode,
     /// Functional-check strategy (`--check` and `--max-eq-inputs` on the
     /// CLI): stimulus vectors by default.
@@ -258,6 +257,7 @@ pub fn evaluate(
     obs.counter("sim.vectors").add(sim_stats.vectors);
     obs.counter("sim.steps").add(sim_stats.steps);
     obs.counter("sim.golden_replayed").add(sim_stats.golden_replayed);
+    obs.counter("sim.compile_fallbacks").add(sim_stats.compile_fallbacks);
     if matches!(opts.check, CheckStrategy::Equivalence { .. }) {
         obs.counter("eval.equivalence.exhaustive").add(sim_stats.exhaustive_checks);
         obs.counter("eval.equivalence.fallback").add(sim_stats.fallback_checks);

@@ -131,6 +131,9 @@ pub struct SimStats {
     /// Equivalence-mode checks that fell back to stimulus vectors
     /// (sequential design or inputs over the cap).
     pub fallback_checks: u64,
+    /// Designs built under [`SimMode::Compiled`] that the bytecode
+    /// compiler declined, so they run on the reference engine.
+    pub compile_fallbacks: u64,
 }
 
 impl SimStats {
@@ -144,6 +147,16 @@ impl SimStats {
         self.run_time += other.run_time;
         self.exhaustive_checks += other.exhaustive_checks;
         self.fallback_checks += other.fallback_checks;
+        self.compile_fallbacks += other.compile_fallbacks;
+    }
+
+    /// Counts one prepared design, and a compile fallback when a
+    /// [`SimMode::Compiled`] build runs on the reference engine.
+    fn count_program(&mut self, design: &SimDesign) {
+        self.programs += 1;
+        if design.mode() == SimMode::Compiled && !design.is_compiled() {
+            self.compile_fallbacks += 1;
+        }
     }
 }
 
@@ -241,7 +254,7 @@ fn build_candidate(
     let design = SimDesign::from_file(file, top, mode);
     stats.compile_time += started.elapsed();
     let design = design.map_err(|e| FunctionalVerdict::BuildFailure(e.to_string()))?;
-    stats.programs += 1;
+    stats.count_program(&design);
     design.instantiate().map_err(|e| FunctionalVerdict::BuildFailure(e.to_string()))
 }
 
@@ -539,7 +552,7 @@ impl ProblemBench {
                 let golden = SimDesign::from_file(&file, &gold_top, mode)
                     .map_err(|e| e.to_string())
                     .and_then(|design| {
-                        stats.programs += 1;
+                        stats.count_program(&design);
                         let sim = design.instantiate().map_err(|e| e.to_string())?;
                         Ok(GoldenTrace::new(sim, &gold_iface))
                     });
@@ -813,6 +826,28 @@ mod tests {
         assert_eq!(bench.stats.vectors, 3 * 48);
         assert_eq!(bench.stats.golden_replayed, 2 * 48, "the first check records the golden");
         assert!(bench.stats.steps > bench.stats.vectors, "steps include drives and clocks");
+    }
+
+    #[test]
+    fn compile_fallbacks_are_counted_and_change_no_verdict() {
+        // A part-select with a variable bound: the compiler declines it,
+        // so a `Compiled` build runs on the reference engine.
+        let declined =
+            "module m(input [3:0] x, input [1:0] s, output [3:0] y); assign y = x[s:0]; endmodule";
+        let design = SimDesign::build(declined, "m", SimMode::Compiled).unwrap();
+        assert!(!design.is_compiled());
+        let check = CheckStrategy::default();
+        let mut compiled = ProblemBench::from_golden(declined, false, SimMode::Compiled, check);
+        let mut reference = ProblemBench::from_golden(declined, false, SimMode::Reference, check);
+        assert_eq!(compiled.stats.compile_fallbacks, 1, "the golden fell back");
+        assert_eq!(compiled.check(declined), reference.check(declined));
+        assert_eq!(compiled.stats.compile_fallbacks, 2, "and so did the candidate");
+        assert_eq!(reference.stats.compile_fallbacks, 0, "nothing to fall back from");
+
+        let family = DesignFamily::Counter { width: 8 };
+        let mut bench = ProblemBench::new(&family, SimMode::Compiled);
+        assert!(bench.check(&golden_source(&family)).is_pass());
+        assert_eq!(bench.stats.compile_fallbacks, 0, "golden designs compile");
     }
 
     fn eq_bench(family: &DesignFamily) -> ProblemBench {

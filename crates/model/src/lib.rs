@@ -19,10 +19,8 @@
 //! * [`sampler`] — temperature/top-k sampling for pass@k generation.
 //! * [`decode`] — the prefix-cached, batched inference engine: shared
 //!   prompt prefill with zero-copy KV forks, lock-step batched decoding
-//!   through the selected kernel family, and allocation-free steady state.
-//! * [`quant`] — per-row absmax int8 weight quantization for the decode
-//!   path ([`KernelMode::QuantizedInt8`]), i32-accumulated and
-//!   pass@k-parity gated against f32.
+//!   through the selected f32 kernel family (`Blocked` or its
+//!   bit-identical `Reference` oracle), and allocation-free steady state.
 //! * [`config`] — the three base-model configurations standing in for the
 //!   Table II architectures.
 //! * `vmath` — batched `exp` and `tanh` with exactly libm's bits, behind
@@ -38,7 +36,6 @@ pub mod adam;
 pub mod config;
 pub mod decode;
 pub mod lora;
-pub mod quant;
 pub mod sampler;
 pub mod tensor;
 pub mod tokenizer;

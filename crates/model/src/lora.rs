@@ -124,11 +124,8 @@ mod tests {
         let d = ad.delta(2.0, crate::tensor::KernelMode::Blocked);
         assert_eq!((d.rows, d.cols), (6, 10));
         assert!(d.data.iter().any(|&x| x != 0.0));
-        // every kernel family computes the same delta bit-for-bit
-        for mode in [crate::tensor::KernelMode::Reference, crate::tensor::KernelMode::QuantizedInt8]
-        {
-            assert_eq!(ad.delta(2.0, mode), d, "{mode} delta diverged");
-        }
+        // the reference kernels compute the same delta bit-for-bit
+        assert_eq!(ad.delta(2.0, crate::tensor::KernelMode::Reference), d);
     }
 
     #[test]

@@ -66,14 +66,8 @@ impl Matrix {
 /// construction) as the oracle: benchmarks measure the speedup against it
 /// and property tests assert exact agreement. Both accumulate in the same
 /// per-element order, so **Blocked ≡ Reference bit-for-bit on finite
-/// inputs**.
-///
-/// `QuantizedInt8` quantizes the effective weights of a
-/// [`DecodeSession`](crate::DecodeSession) to per-row absmax int8 (see
-/// [`crate::quant`]); i32 accumulation is associative, so that path is
-/// exactly reproducible, and a pass@k-parity test gates it against f32.
-/// Outside the decode engine (training graphs), `QuantizedInt8` runs the
-/// `Blocked` kernels — training weights are never quantized.
+/// inputs**, in training graphs and in a
+/// [`DecodeSession`](crate::DecodeSession) alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Register-tiled f32 kernels.
@@ -81,17 +75,14 @@ pub enum KernelMode {
     Blocked,
     /// The retained naive triple-loop kernels (the oracle).
     Reference,
-    /// Int8 weight-quantized decode; `Blocked` kernels elsewhere.
-    QuantizedInt8,
 }
 
 impl KernelMode {
-    /// The CLI/JSON name of the family (`reference|blocked|int8`).
+    /// The CLI/JSON name of the family (`reference|blocked`).
     pub fn as_str(self) -> &'static str {
         match self {
             KernelMode::Blocked => "blocked",
             KernelMode::Reference => "reference",
-            KernelMode::QuantizedInt8 => "int8",
         }
     }
 }
@@ -109,10 +100,7 @@ impl std::str::FromStr for KernelMode {
         match s {
             "blocked" => Ok(KernelMode::Blocked),
             "reference" => Ok(KernelMode::Reference),
-            "int8" | "quantized-int8" => Ok(KernelMode::QuantizedInt8),
-            other => {
-                Err(format!("unknown kernel mode `{other}` (expected reference|blocked|int8)"))
-            }
+            other => Err(format!("unknown kernel mode `{other}` (expected reference|blocked)")),
         }
     }
 }
@@ -141,7 +129,7 @@ pub mod kernels {
     /// `out = a · b`, dispatching on the kernel family.
     pub fn matmul_into(mode: KernelMode, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         match mode {
-            KernelMode::Blocked | KernelMode::QuantizedInt8 => matmul_blocked(a, b, out),
+            KernelMode::Blocked => matmul_blocked(a, b, out),
             KernelMode::Reference => matmul_reference(a, b, out),
         }
     }
@@ -149,7 +137,7 @@ pub mod kernels {
     /// `out = a · bᵀ`, dispatching on the kernel family.
     pub fn matmul_nt_into(mode: KernelMode, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         match mode {
-            KernelMode::Blocked | KernelMode::QuantizedInt8 => matmul_nt_blocked(a, b, out),
+            KernelMode::Blocked => matmul_nt_blocked(a, b, out),
             KernelMode::Reference => matmul_nt_reference(a, b, out),
         }
     }
@@ -157,7 +145,7 @@ pub mod kernels {
     /// `out = aᵀ · c`, dispatching on the kernel family.
     pub fn matmul_tn_into(mode: KernelMode, a: &Matrix, c: &Matrix, out: &mut Matrix) {
         match mode {
-            KernelMode::Blocked | KernelMode::QuantizedInt8 => matmul_tn_blocked(a, c, out),
+            KernelMode::Blocked => matmul_tn_blocked(a, c, out),
             KernelMode::Reference => matmul_tn_reference(a, c, out),
         }
     }
@@ -1661,13 +1649,13 @@ mod tests {
 
     #[test]
     fn kernel_mode_parses_and_displays() {
-        for mode in [KernelMode::Blocked, KernelMode::Reference, KernelMode::QuantizedInt8] {
+        for mode in [KernelMode::Blocked, KernelMode::Reference] {
             assert_eq!(mode.as_str().parse::<KernelMode>().unwrap(), mode);
             assert_eq!(format!("{mode}"), mode.as_str());
         }
-        assert_eq!("quantized-int8".parse::<KernelMode>().unwrap(), KernelMode::QuantizedInt8);
-        assert!("avx512".parse::<KernelMode>().is_err());
-        let err = "simd".parse::<KernelMode>().unwrap_err();
-        assert!(err.contains("reference|blocked|int8"), "{err}");
+        for retired in ["avx512", "simd", "int8", "quantized-int8"] {
+            let err = retired.parse::<KernelMode>().unwrap_err();
+            assert!(err.contains("reference|blocked)"), "{err}");
+        }
     }
 }

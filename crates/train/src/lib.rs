@@ -64,9 +64,8 @@ pub struct TrainConfig {
     /// byte-identical at any value — see `train_step_with`.
     pub threads: usize,
     /// Kernel family for every forward/backward pass of the run
-    /// (`--kernel` on the CLI). All three families train bit-identically:
-    /// `QuantizedInt8` trains with the `Blocked` kernels (weights are only
-    /// quantized on the decode path, never during training).
+    /// (`--kernel` on the CLI). `Blocked` and its `Reference` oracle train
+    /// bit-identically.
     pub kernel: KernelMode,
 }
 

@@ -384,7 +384,7 @@ fn cli_shape_decode_matches_its_pinned_digest() {
 }
 
 #[test]
-fn simd_kernel_eval_is_byte_identical_to_blocked() {
+fn blocked_and_reference_eval_are_byte_identical_at_any_thread_count() {
     // The acceptance pin for the f32 kernel families: a `blocked` session
     // decodes through the register-tiled, order-preserving forward matmul
     // plus scalar attention/layer-norm sweeps, so pass@k results must be

@@ -219,6 +219,50 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One of the 20 eval golden designs with one edit at one position —
+    /// truncated there, or that char deleted, duplicated or swapped with
+    /// the next — scores alike on both simulation backends under both
+    /// check strategies, and neither panics: eval feeds model-generated
+    /// text, broken or not, to both backends.
+    #[test]
+    fn mutated_goldens_score_alike_on_both_sim_backends(
+        problem in 0usize..20,
+        at in 0usize..4096,
+        edit in 0u8..4,
+    ) {
+        use pyranet::eval::testbench::golden_source;
+        use pyranet::eval::{machine_split, CheckStrategy, ProblemBench, SimMode};
+        let family = &machine_split()[problem].family;
+        let mut chars: Vec<char> = golden_source(family).chars().collect();
+        let n = chars.len();
+        let i = at % n;
+        match edit {
+            0 => chars.truncate(i),
+            1 => {
+                chars.remove(i);
+            }
+            2 => chars.insert(i, chars[i]),
+            _ => chars.swap(i, (i + 1) % n),
+        }
+        let mutant: String = chars.into_iter().collect();
+        for check in [CheckStrategy::Stimulus, CheckStrategy::Equivalence { max_input_bits: 16 }] {
+            let verdict =
+                |mode| ProblemBench::new_with_check(family, mode, check).check(&mutant);
+            prop_assert_eq!(
+                verdict(SimMode::Compiled),
+                verdict(SimMode::Reference),
+                "{:?} under {:?}:\n{}",
+                family,
+                check,
+                mutant
+            );
+        }
+    }
+}
+
 /// Modules computing `y` from `a` through one construct nested `n` deep,
 /// each with the value `y` takes at `a = 1`: parentheses, unary operators,
 /// an operator chain, ternaries and statement blocks. The right-hand side
